@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import cascades, ingest, scaling, simulate
 from .errors import ConfigError, ScaleMetricsError
-from .metrics import ProductionMeasure, observations_to_csv, window_observations
+from .metrics import ProductionMeasure, observations_to_csv
 from .windows import DAY, FixedWindow
 
 DEFAULT_SEED = 42
@@ -121,14 +121,8 @@ def _analyze_history(history, args):
         use_binning=args.bins_per_decade > 0,
         bins_per_decade=args.bins_per_decade or 5,
         seed=args.seed,
+        estimator=args.estimator,
     )
-    if args.estimator != "both":
-        keep = {"hill": "hill", "mle": "pareto-mle"}[args.estimator]
-        for extra in [m for m in list(report.tail_fits) if m != keep]:
-            del report.tail_fits[extra]
-            report.regimes.pop(extra, None)
-        for extra in [m for m in list(report.tail_errors) if m != keep]:
-            del report.tail_errors[extra]
     bundle = report.to_json()
     try:
         tau = args.tau if args.tau is not None else cascades.default_tau(history)
@@ -153,7 +147,7 @@ def cmd_analyze(args):
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "report.json").write_text(_json_dumps(bundle), encoding="utf-8")
     measure = ProductionMeasure.from_string(args.measure)
-    obs = window_observations(history, FixedWindow(parse_duration(args.window)), measure)
+    obs = report.arm_a_observations
     (outdir / "observations.csv").write_text(
         observations_to_csv(obs, measure), encoding="utf-8"
     )
@@ -306,7 +300,7 @@ def _add_analysis_flags(p):
                    help="arm B inter-commit gap quantile (default 0.9)")
     p.add_argument("--measure", default="commits",
                    choices=[m.value for m in ProductionMeasure])
-    p.add_argument("--estimator", default="both", choices=["hill", "mle", "both"])
+    p.add_argument("--estimator", default="both", choices=list(scaling.TAIL_METHODS))
     p.add_argument("--bins-per-decade", type=int, default=5,
                    help="log-binning density for arm A; 0 disables binning")
     p.add_argument("--tau", type=float, default=None,

@@ -75,10 +75,6 @@ class CommitRecord:
         if self.lines_added < 0 or self.lines_deleted < 0:
             raise ValueError("line deltas must be non-negative")
 
-    @property
-    def is_merge(self):
-        return self.parent_count >= 2
-
 
 @dataclass(frozen=True)
 class ProjectHistory:
@@ -173,6 +169,22 @@ def parse_commit_log(text, project_name="project", include_merges=False):
     return ProjectHistory.build(project_name, commits)
 
 
+def _parse_payload(files, line_no):
+    """``files`` as a tuple of (old, new) string pairs; a missing side is ""."""
+    if not isinstance(files, list):
+        raise ParseError("'files' must be a list of objects", line=line_no)
+    payload = []
+    for f in files:
+        if not isinstance(f, dict):
+            raise ParseError("'files' must be a list of objects", line=line_no)
+        old, new = f.get("old", ""), f.get("new", "")
+        if not isinstance(old, str) or not isinstance(new, str):
+            raise ParseError("'old' and 'new' in 'files' must be strings",
+                             line=line_no)
+        payload.append((old, new))
+    return tuple(payload)
+
+
 def parse_jsonl(text, project_name="project", include_merges=False):
     """Parse the JSONL commit format."""
     commits = []
@@ -186,9 +198,7 @@ def parse_jsonl(text, project_name="project", include_merges=False):
         if not isinstance(obj, dict) or "id" not in obj or "ts" not in obj:
             raise ParseError("record must be an object with 'id' and 'ts'", line=line_no)
         files = obj.get("files")
-        payload = None
-        if files is not None:
-            payload = tuple((f.get("old", ""), f.get("new", "")) for f in files)
+        payload = None if files is None else _parse_payload(files, line_no)
         parents = int(obj.get("parents", 1))
         if parents >= 2 and not include_merges:
             continue
@@ -214,12 +224,20 @@ def parse_jsonl(text, project_name="project", include_merges=False):
 
 
 def write_jsonl(history):
-    """Serialize to the canonical JSONL form (the inverse of parse_jsonl)."""
+    """Serialize to the canonical JSONL form (the inverse of parse_jsonl).
+
+    A commit whose author was aliased by :func:`resolve_authors` is written
+    with the canonical key as its email, so that parsing the output again
+    yields the same authors without the alias map.
+    """
     out = []
     for c in history.commits:
+        email = c.raw_email
+        if not email or _raw_key(c) != c.author.canonical_key:
+            email = c.author.canonical_key
         obj = {
             "id": c.commit_id,
-            "email": c.raw_email or c.author.canonical_key,
+            "email": email,
             "name": c.raw_name,
             "ts": c.timestamp,
             "added": c.lines_added,
@@ -231,6 +249,12 @@ def write_jsonl(history):
             obj["files"] = [{"old": o, "new": n} for o, n in c.diff_payload]
         out.append(json.dumps(obj, sort_keys=False))
     return "\n".join(out) + ("\n" if out else "")
+
+
+def _raw_key(commit):
+    """The author key the commit's raw email (name fallback) normalises to."""
+    return ((commit.raw_email or "").strip().lower()
+            or (commit.raw_name or "").strip().lower())
 
 
 def _normalize_alias_map(alias_map):
@@ -265,8 +289,7 @@ def resolve_authors(history, alias_map=None, drop_authors=()):
     drop = {str(a).strip().lower() for a in drop_authors}
     commits = []
     for c in history.commits:
-        key = (c.raw_email or "").strip().lower() or (c.raw_name or "").strip().lower()
-        key = key or c.author.canonical_key
+        key = _raw_key(c) or c.author.canonical_key
         while key in aliases:
             key = aliases[key]
         if key in drop:

@@ -5,6 +5,18 @@ the Levenshtein edit distance of diff payloads. Edit distance is computed
 byte-level on UTF-8 with a configurable per-side size cap; commits whose
 payload is missing or over the cap are excluded from that measure's totals
 and counted in a coverage statistic rather than silently truncated.
+
+The edit distance uses Hyyrö's global-distance form of Myers' bit-parallel
+recurrence (Myers, "A fast bit-vector algorithm for approximate string
+matching based on dynamic programming", JACM 46, 1999; Hyyrö, "A bit-vector
+algorithm for computing Levenshtein and Damerau edit distances", Nordic
+Journal of Computing 10, 2003): one DP column is packed into the bits of a
+Python int, so a pair costs about ceil(m/64)*n word operations for a
+shorter side of m bytes and a longer side of n bytes.
+
+Each commit's production is computed once per analysis by
+:func:`commit_productions`; arm A, arm B and the tail distribution all read
+that one per-commit list.
 """
 
 from __future__ import annotations
@@ -22,6 +34,8 @@ __all__ = [
     "WindowObservation",
     "levenshtein_distance",
     "commit_production",
+    "commit_productions",
+    "series_observations",
     "window_observations",
     "window_observations_with_coverage",
     "observations_to_csv",
@@ -56,7 +70,10 @@ class WindowObservation:
 def levenshtein_distance(a, b, size_cap=DEFAULT_SIZE_CAP):
     """Unit-cost insert/delete/substitute edit distance, byte-level on UTF-8.
 
-    Two-row dynamic program, O(min(|a|,|b|)) memory. Inputs larger than
+    Bit-parallel (Myers 1999, in Hyyrö's 2003 global-distance form): the
+    shorter side is the pattern, one bit per byte, and each byte of the
+    longer side advances the whole DP column with a few big-int operations,
+    about ceil(m/64)*n word operations in all. Inputs larger than
     ``size_cap`` bytes per side raise MeasureUnavailableError.
     """
     xs = a.encode("utf-8") if isinstance(a, str) else bytes(a)
@@ -65,21 +82,34 @@ def levenshtein_distance(a, b, size_cap=DEFAULT_SIZE_CAP):
         raise MeasureUnavailableError(
             f"input exceeds size cap ({max(len(xs), len(ys))} > {size_cap} bytes)"
         )
-    if len(xs) < len(ys):
+    if len(xs) > len(ys):
         xs, ys = ys, xs
-    if not ys:
-        return len(xs)
-    prev = list(range(len(ys) + 1))
-    for i, cx in enumerate(xs, start=1):
-        cur = [i] + [0] * len(ys)
-        for j, cy in enumerate(ys, start=1):
-            cur[j] = min(
-                prev[j] + 1,  # delete
-                cur[j - 1] + 1,  # insert
-                prev[j - 1] + (cx != cy),  # substitute
-            )
-        prev = cur
-    return prev[-1]
+    if not xs:
+        return len(ys)
+    peq = [0] * 256  # byte value -> bit mask of its positions in the pattern
+    bit = 1
+    for byte in xs:
+        peq[byte] |= bit
+        bit <<= 1
+    mask = bit - 1  # Python ints have no width: every ~ is cut back to m bits
+    high = bit >> 1
+    pv, mv, score = mask, 0, len(xs)
+    for byte in ys:
+        eq = peq[byte]
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (~(xh | pv) & mask)
+        mh = pv & xh
+        if ph & high:
+            score += 1
+        elif mh & high:
+            score -= 1
+        # carry 1 into ph: the top DP row grows by one per text byte
+        ph = ((ph << 1) | 1) & mask
+        mh = (mh << 1) & mask
+        pv = mh | (~(xv | ph) & mask)
+        mv = ph & xv
+    return score
 
 
 def commit_production(commit, measure, size_cap=DEFAULT_SIZE_CAP):
@@ -103,27 +133,45 @@ def commit_production(commit, measure, size_cap=DEFAULT_SIZE_CAP):
     raise ValueError(f"unknown measure {measure!r}")
 
 
-def window_observations_with_coverage(history, definition, measure,
-                                      size_cap=DEFAULT_SIZE_CAP):
-    """(observations, unavailable_commit_count) for non-empty windows."""
-    series = active_team_series(history, definition)
+def commit_productions(history, measure, size_cap=DEFAULT_SIZE_CAP):
+    """(values, unavailable_commit_count): each commit's production under
+    ``measure`` in history order, None where the measure is unavailable."""
+    values = []
+    unavailable = 0
+    for c in history.commits:
+        try:
+            values.append(commit_production(c, measure, size_cap))
+        except MeasureUnavailableError:
+            values.append(None)
+            unavailable += 1
+    return values, unavailable
+
+
+def series_observations(history, series, productions):
+    """One WindowObservation per non-empty window of ``series`` (from
+    :func:`active_team_series` on ``history``), summing the per-commit
+    ``productions`` (from :func:`commit_productions`) that are available."""
     t0 = history.commits[0].timestamp
     length = series[0].end_ts - series[0].start_ts
     count = len(series)
     production = [0.0] * count
-    unavailable = 0
-    for c in history.commits:
-        idx = min(int((c.timestamp - t0) // length), count - 1)
-        try:
-            production[idx] += commit_production(c, measure, size_cap)
-        except MeasureUnavailableError:
-            unavailable += 1
-    obs = [
+    for c, p in zip(history.commits, productions):
+        if p is not None:
+            idx = min(int((c.timestamp - t0) // length), count - 1)
+            production[idx] += p
+    return [
         WindowObservation(w.start_ts, w.end_ts, w.n, production[i])
         for i, w in enumerate(series)
         if w.n > 0
     ]
-    return obs, unavailable
+
+
+def window_observations_with_coverage(history, definition, measure,
+                                      size_cap=DEFAULT_SIZE_CAP):
+    """(observations, unavailable_commit_count) for non-empty windows."""
+    series = active_team_series(history, definition)
+    productions, unavailable = commit_productions(history, measure, size_cap)
+    return series_observations(history, series, productions), unavailable
 
 
 def window_observations(history, definition, measure, size_cap=DEFAULT_SIZE_CAP):

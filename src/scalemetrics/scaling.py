@@ -11,7 +11,7 @@ explicitly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.stats import linregress
@@ -22,8 +22,14 @@ from .errors import (
     InsufficientDataError,
     ScaleMetricsError,
 )
-from .metrics import window_observations_with_coverage
-from .windows import FixedWindow, QuantileWindow, resolve_window_length, single_commit_share
+from .metrics import commit_productions, series_observations
+from .windows import (
+    FixedWindow,
+    QuantileWindow,
+    active_team_series,
+    resolve_window_length,
+    single_commit_share,
+)
 
 Z_95 = 1.959963984540054
 
@@ -155,6 +161,8 @@ class MethodologyReport:
     single_commit_share: float
     min_commit_inequality_holds: bool  # P(commits) >= n in every window
     unavailable_commits: int
+    # arm A's non-empty windows, for observations.csv; not part of to_json
+    arm_a_observations: tuple = field(default=(), repr=False, compare=False)
 
     def to_json(self):
         return {
@@ -242,14 +250,24 @@ def _per_member_trend(observations):
     return slope, (slope - Z_95 * se, slope + Z_95 * se), mean_ratio
 
 
+TAIL_METHODS = {"hill": ("hill",), "mle": ("pareto-mle",),
+                "both": ("hill", "pareto-mle")}
+
+
 def methodology_compare(history, measure, fixed_window=None, quantile=0.9,
                         use_binning=True, bins_per_decade=5, seed=42,
-                        hill_fraction=0.1):
-    """Run both methodologies plus tail fits on the same history."""
-    from .metrics import ProductionMeasure
+                        hill_fraction=0.1, estimator="both"):
+    """Run both methodologies plus tail fits on the same history.
 
+    Each commit's production is computed once and shared by arm A, arm B
+    and the tail distribution. ``estimator`` ("hill", "mle" or "both")
+    selects the tail fits that are run.
+    """
+    methods = TAIL_METHODS[estimator]
     fixed_window = fixed_window or FixedWindow()
-    obs_a, unavailable = window_observations_with_coverage(history, fixed_window, measure)
+    series_a = active_team_series(history, fixed_window)
+    productions, unavailable = commit_productions(history, measure)
+    obs_a = series_observations(history, series_a, productions)
 
     arm_a = None
     arm_a_error = None
@@ -263,9 +281,10 @@ def methodology_compare(history, measure, fixed_window=None, quantile=0.9,
     arm_b_error = None
     arm_b_length = None
     try:
-        qdef = QuantileWindow(quantile)
-        arm_b_length = resolve_window_length(history, qdef)
-        obs_b, _ = window_observations_with_coverage(history, qdef, measure)
+        arm_b_length = resolve_window_length(history, QuantileWindow(quantile))
+        # the quantile is resolved once; the series reuses its length
+        series_b = active_team_series(history, FixedWindow(arm_b_length))
+        obs_b = series_observations(history, series_b, productions)
         arm_b_slope, arm_b_ci, arm_b_mean = _per_member_trend(obs_b)
     except ScaleMetricsError as exc:
         arm_b_error = str(exc)
@@ -273,29 +292,29 @@ def methodology_compare(history, measure, fixed_window=None, quantile=0.9,
     tail_fits = {}
     tail_errors = {}
     try:
-        dist = tails.ContributionDistribution.from_history(history, measure)
-        n_authors = len(dist.values)
-        try:
-            k = max(tails.MIN_TAIL_POINTS, int(hill_fraction * n_authors))
-            tail_fits["hill"] = tails.hill_estimator(dist, k=k, seed=seed)
-        except ScaleMetricsError as exc:
-            tail_errors["hill"] = str(exc)
-        try:
-            tail_fits["pareto-mle"] = tails.pareto_mle_fit(dist, seed=seed)
-        except ScaleMetricsError as exc:
-            tail_errors["pareto-mle"] = str(exc)
+        dist = tails.ContributionDistribution.from_productions(
+            history, productions, measure)
+        if "hill" in methods:
+            try:
+                k = max(tails.MIN_TAIL_POINTS, int(hill_fraction * len(dist.values)))
+                tail_fits["hill"] = tails.hill_estimator(dist, k=k, seed=seed)
+            except ScaleMetricsError as exc:
+                tail_errors["hill"] = str(exc)
+        if "pareto-mle" in methods:
+            try:
+                tail_fits["pareto-mle"] = tails.pareto_mle_fit(dist, seed=seed)
+            except ScaleMetricsError as exc:
+                tail_errors["pareto-mle"] = str(exc)
     except ScaleMetricsError as exc:
-        tail_errors["hill"] = tail_errors["pareto-mle"] = str(exc)
+        tail_errors.update(dict.fromkeys(methods, str(exc)))
 
     regimes = {
         method: tails.classify_regime(fit.mu).value
         for method, fit in tail_fits.items()
     }
 
-    obs_commits, _ = window_observations_with_coverage(
-        history, fixed_window, ProductionMeasure.COMMITS
-    )
-    inequality = all(o.production >= o.n for o in obs_commits)
+    # P >= n under the commit-count measure: every active author has a commit
+    inequality = all(w.commit_count >= w.n for w in series_a)
 
     return MethodologyReport(
         project_name=history.project_name,
@@ -314,4 +333,5 @@ def methodology_compare(history, measure, fixed_window=None, quantile=0.9,
         single_commit_share=single_commit_share(history),
         min_commit_inequality_holds=inequality,
         unavailable_commits=unavailable,
+        arm_a_observations=tuple(obs_a),
     )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, InsufficientDataError
-from .metrics import MeasureUnavailableError, commit_production
+from .metrics import commit_productions
 
 MIN_TAIL_POINTS = 10
 
@@ -50,13 +50,17 @@ class ContributionDistribution:
     def from_history(cls, history, measure):
         """Per-author production totals; authors with zero total are dropped,
         commits where the measure is unavailable are skipped."""
+        productions, _ = commit_productions(history, measure)
+        return cls.from_productions(history, productions, measure)
+
+    @classmethod
+    def from_productions(cls, history, productions, measure):
+        """As :meth:`from_history`, from per-commit ``productions`` already
+        computed by :func:`~scalemetrics.metrics.commit_productions`."""
         totals = {}
-        for c in history.commits:
-            try:
-                p = commit_production(c, measure)
-            except MeasureUnavailableError:
-                continue
-            totals[c.author] = totals.get(c.author, 0.0) + p
+        for c, p in zip(history.commits, productions):
+            if p is not None:
+                totals[c.author] = totals.get(c.author, 0.0) + p
         values = tuple(v for v in totals.values() if v > 0)
         if not values:
             raise InsufficientDataError("no author has positive production")

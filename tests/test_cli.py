@@ -1,4 +1,5 @@
 import json
+import random
 
 import jsonschema
 import pytest
@@ -134,6 +135,53 @@ def test_roundtrip_simulator_output_through_ingest(tmp_path):
     re_out = tmp_path / "reingested.jsonl"
     assert main(["ingest", str(out), "-o", str(re_out)]) == 0
     assert re_out.read_text() == out.read_text()
+
+
+def test_ingest_persists_alias_resolution(tmp_path, capsys):
+    src = tmp_path / "aliased.jsonl"
+    src.write_text(
+        '{"id": "a", "email": "old@x", "name": "Old", "ts": 1}\n'
+        '{"id": "b", "email": "New@X", "name": "New", "ts": 2}\n'
+        '{"id": "c", "email": "", "name": "Nick", "ts": 3}\n'
+    )
+    aliases = tmp_path / "aliases.json"
+    aliases.write_text(json.dumps({"old@x": "new@x", "nick": "new@x"}))
+    once, twice = tmp_path / "once.jsonl", tmp_path / "twice.jsonl"
+    assert main(["ingest", str(src), "--alias-map", str(aliases),
+                 "-o", str(once)]) == 0
+    assert main(["ingest", str(once), "-o", str(twice)]) == 0
+    first, second = capsys.readouterr().err.splitlines()
+    assert first.startswith("3 commits, 1 authors")
+    assert second.startswith("3 commits, 1 authors")
+    assert twice.read_text() == once.read_text()
+    # the unaliased commit keeps its raw email bytes
+    assert json.loads(once.read_text().splitlines()[1])["email"] == "New@X"
+
+
+def test_analyze_computes_each_edit_distance_once(tmp_path, monkeypatch):
+    from scalemetrics import metrics
+
+    rng = random.Random(3)
+    records, pairs = [], 0
+    for i in range(60):
+        files = [{"old": "ab" * rng.randrange(5), "new": "ba" * rng.randrange(5)}
+                 for _ in range(rng.randrange(3))]
+        pairs += len(files)
+        records.append({"id": f"c{i}", "email": f"d{i % 12}@x", "ts": i * 7000.0,
+                        "files": files})
+    src = tmp_path / "lev.jsonl"
+    src.write_text("".join(json.dumps(r) + "\n" for r in records))
+    calls = []
+    original = metrics.levenshtein_distance
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "levenshtein_distance", counting)
+    assert main(["analyze", str(src), "-o", str(tmp_path / "out"),
+                 "--measure", "lev"]) == 0
+    assert len(calls) == pairs > 0
 
 
 @pytest.fixture(scope="module")

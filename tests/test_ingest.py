@@ -1,8 +1,10 @@
 import itertools
+import json
 import random
 
 import pytest
 
+from scalemetrics.cli import main
 from scalemetrics.errors import ConfigError, ParseError
 from scalemetrics.ingest import (
     AuthorId,
@@ -109,6 +111,30 @@ def test_jsonl_bad_line_reports_number():
     with pytest.raises(ParseError) as exc:
         parse_jsonl('{"id": "a", "email": "a@x", "ts": 1}\n{nope}\n')
     assert "line 2" in str(exc.value)
+
+
+@pytest.mark.parametrize("files", [
+    ["x"],  # not an object
+    [{"old": 5, "new": "ab"}],  # not a string
+    [{"old": None, "new": "ab"}],
+    {"old": "a", "new": "b"},  # not a list
+])
+def test_jsonl_malformed_payload_rejected(files, tmp_path, capsys):
+    text = ('{"id": "a", "email": "a@x", "ts": 1}\n'
+            + json.dumps({"id": "b", "email": "a@x", "ts": 2, "files": files}) + "\n")
+    with pytest.raises(ParseError) as exc:
+        parse_jsonl(text)
+    assert "line 2" in str(exc.value)
+    src = tmp_path / "bad.jsonl"
+    src.write_text(text)
+    assert main(["analyze", str(src), "-o", str(tmp_path / "out"),
+                 "--measure", "lev"]) == 2
+    assert "line 2" in capsys.readouterr().err
+
+
+def test_jsonl_payload_sides_default_to_empty():
+    text = '{"id": "a", "ts": 1, "email": "a@x", "files": [{"new": "ab"}, {}]}\n'
+    assert parse_jsonl(text).commits[0].diff_payload == (("", "ab"), ("", ""))
 
 
 def test_case_normalization_merges_identities():

@@ -2,6 +2,8 @@ import random
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scalemetrics.errors import MeasureUnavailableError
 from scalemetrics.metrics import (
@@ -12,9 +14,19 @@ from scalemetrics.metrics import (
     window_observations,
     window_observations_with_coverage,
 )
-from scalemetrics.windows import DAY, FixedWindow
+from scalemetrics.windows import DAY, FixedWindow, QuantileWindow
 
-from conftest import make_commit, make_history, random_history
+from conftest import make_commit, make_history, random_history, random_payload_history
+from oracle import per_pass_window_observations, two_row_levenshtein
+
+# a small byte alphabet keeps distances well below the maximum
+_few_bytes = st.lists(st.sampled_from(b"ab\xc3\xa9\xff"), max_size=300).map(bytes)
+# lengths either side of one and two 64-bit words
+_word_edges = st.sampled_from([63, 64, 65, 127, 128, 129]).flatmap(
+    lambda n: st.lists(st.sampled_from(b"abc"), min_size=n, max_size=n).map(bytes))
+_byte_sides = st.one_of(st.binary(max_size=300), _few_bytes, _word_edges)
+# at most 75 code points keeps a UTF-8 side within 300 bytes
+_str_sides = st.one_of(st.text(max_size=75), st.text(alphabet="abé€😀", max_size=75))
 
 
 def oracle_levenshtein(a, b):
@@ -56,6 +68,15 @@ def test_lev_matches_oracle_random_pairs():
         a = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 12)))
         b = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 12)))
         assert levenshtein_distance(a, b) == oracle_levenshtein(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(_byte_sides, _byte_sides), st.tuples(_str_sides, _str_sides)))
+def test_lev_matches_two_row_dp(pair):
+    a, b = pair
+    expected = two_row_levenshtein(a, b)
+    assert levenshtein_distance(a, b) == expected
+    assert levenshtein_distance(b, a) == expected
 
 
 def test_lev_symmetry_and_triangle():
@@ -141,6 +162,17 @@ def test_unavailable_commits_counted_not_fatal():
     )
     assert unavailable == 1
     assert obs[0].production == 1.0
+
+
+def test_observations_match_per_pass_oracle(rng):
+    # the shared per-commit pass windows the same production as one
+    # commit_production call per commit per pass
+    for _ in range(5):
+        h = random_payload_history(rng)
+        for measure in ProductionMeasure:
+            for definition in (FixedWindow(20_000.0), QuantileWindow(0.9)):
+                assert window_observations_with_coverage(h, definition, measure) == \
+                    per_pass_window_observations(h, definition, measure)
 
 
 def test_observations_csv_shape():

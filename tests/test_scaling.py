@@ -1,16 +1,22 @@
+import random
+
 import numpy as np
 import pytest
 
-from scalemetrics.errors import DegenerateDataError, InsufficientDataError
+from scalemetrics import tails
+from scalemetrics.errors import DegenerateDataError, InsufficientDataError, ScaleMetricsError
 from scalemetrics.metrics import ProductionMeasure, WindowObservation
 from scalemetrics.scaling import (
+    _per_member_trend,
     fit_scaling_exponent,
     log_bin,
     methodology_compare,
 )
 from scalemetrics.simulate import simulate_zipf_growth
+from scalemetrics.windows import FixedWindow, QuantileWindow
 
-from conftest import make_history
+from conftest import make_history, random_history, random_payload_history
+from oracle import per_pass_author_totals, per_pass_window_observations
 
 
 def obs_from(ns, ps):
@@ -97,8 +103,6 @@ def test_per_member_slope_identity():
     rng = np.random.default_rng(13)
     ns = rng.integers(1, 300, size=400)
     ps = ns**1.2 * rng.lognormal(0, 0.3, size=400)
-    from scalemetrics.scaling import _per_member_trend
-
     total = fit_scaling_exponent(obs_from(ns, ps))
     per_member, _, _ = _per_member_trend(obs_from(ns, ps))
     assert per_member == pytest.approx(total.beta - 1.0, abs=1e-9)
@@ -132,3 +136,65 @@ def test_report_text_rendering():
     text = report.to_text()
     assert "arm A" in text and "arm B" in text
     assert "beta" in text
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except ScaleMetricsError as exc:
+        return str(exc)
+
+
+def test_methodology_compare_matches_per_pass_oracle(rng):
+    # arm A, arm B, the P >= n check and the tail fits read one shared
+    # per-commit pass; each must equal its own per-pass computation
+    window = FixedWindow(20_000.0)
+    for size in (200, 400):
+        h = random_payload_history(rng, n_commits=size, n_authors=size // 3,
+                                   span=size * 500.0)
+        for measure in (ProductionMeasure.LEVENSHTEIN, ProductionMeasure.COMMITS,
+                        ProductionMeasure.LOC_TOTAL):
+            report = methodology_compare(h, measure, fixed_window=window,
+                                         quantile=0.5, use_binning=False, seed=3)
+            obs_a, unavailable = per_pass_window_observations(h, window, measure)
+            assert list(report.arm_a_observations) == obs_a
+            assert report.unavailable_commits == unavailable
+            fit = _outcome(fit_scaling_exponent, obs_a)
+            assert (report.arm_a_error if isinstance(fit, str) else report.arm_a) == fit
+            obs_b, _ = per_pass_window_observations(h, QuantileWindow(0.5), measure)
+            trend = _outcome(_per_member_trend, obs_b)
+            assert (report.arm_b_error if isinstance(trend, str) else
+                    (report.arm_b_slope, report.arm_b_ci,
+                     report.arm_b_mean_output_per_member)) == trend
+            dist = tails.ContributionDistribution(per_pass_author_totals(h, measure))
+            k = max(tails.MIN_TAIL_POINTS, int(0.1 * len(dist.values)))
+            expected = {"hill": _outcome(tails.hill_estimator, dist, k=k, seed=3),
+                        "pareto-mle": _outcome(tails.pareto_mle_fit, dist, seed=3)}
+            got = {**report.tail_fits, **report.tail_errors}
+            assert got == expected
+            commit_obs, _ = per_pass_window_observations(h, window, ProductionMeasure.COMMITS)
+            assert report.min_commit_inequality_holds == \
+                all(o.production >= o.n for o in commit_obs)
+
+
+@pytest.mark.parametrize("estimator,kept,skipped", [
+    ("hill", "hill", "pareto_mle_fit"),
+    ("mle", "pareto-mle", "hill_estimator"),
+])
+@pytest.mark.parametrize("history", [
+    simulate_zipf_growth(10.0, 0.5, seed=4),
+    random_history(random.Random(5), n_commits=60, n_authors=20),  # MLE refuses
+], ids=["zipf", "few-authors"])
+def test_estimator_runs_only_the_selected_fit(history, estimator, kept, skipped,
+                                              monkeypatch):
+    both = methodology_compare(history, ProductionMeasure.COMMITS).to_json()
+
+    def not_selected(*args, **kwargs):
+        raise AssertionError(f"{skipped} ran for --estimator {estimator}")
+
+    monkeypatch.setattr(tails, skipped, not_selected)
+    one = methodology_compare(history, ProductionMeasure.COMMITS,
+                              estimator=estimator).to_json()
+    for key in ("tails", "tail_errors", "regimes"):
+        both[key] = {m: v for m, v in both[key].items() if m == kept}
+    assert one == both
