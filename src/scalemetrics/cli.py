@@ -4,15 +4,17 @@ Subcommands: ingest | analyze | simulate | compare | report.
 Exit codes: 0 success (possibly with warnings), 1 usage/config errors,
 2 data errors. All commands are deterministic given (inputs, flags, seed);
 the seed defaults to 42 and may be set via SCALEMETRICS_SEED or --seed.
+``analyze --format text`` and ``report`` both print :func:`render_text`.
+``compare`` analyses its projects serially; ``--jobs`` is accepted and ignored.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import cascades, ingest, scaling, simulate
@@ -45,8 +47,8 @@ def parse_duration(text):
         value = float(digits) * factor
     except ValueError:
         raise ConfigError(f"bad duration {text!r}") from None
-    if value <= 0:
-        raise ConfigError(f"duration must be positive, got {text!r}")
+    if not 0 < value < math.inf:
+        raise ConfigError(f"duration must be positive and finite, got {text!r}")
     return value
 
 
@@ -157,7 +159,7 @@ def cmd_analyze(args):
     if args.format == "json":
         sys.stdout.write(_json_dumps(bundle))
     else:
-        sys.stdout.write(report.to_text())
+        sys.stdout.write(render_text(bundle))
     warnings = [e for e in (report.arm_a_error, report.arm_b_error) if e]
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -220,17 +222,11 @@ def cmd_compare(args):
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    def run(path):
-        history = _load_history(path, input_format="jsonl")
-        bundle, _ = _analyze_history(history, args)
-        return path.stem, bundle
-
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        results = list(pool.map(run, corpus))
-
     regime_counts = {}
     projects = []
-    for name, bundle in results:
+    for path in corpus:
+        name = path.stem
+        bundle, _ = _analyze_history(_load_history(path, input_format="jsonl"), args)
         (outdir / f"{name}.report.json").write_text(
             _json_dumps(bundle), encoding="utf-8"
         )
@@ -258,39 +254,42 @@ def cmd_compare(args):
     return EXIT_OK
 
 
+def render_text(bundle):
+    """Plain-text summary of a report.json bundle: both arms, the tail fits
+    and the cascades. ``analyze --format text`` and ``report`` print it."""
+    a, b, casc = bundle["arm_a"], bundle["arm_b"], bundle.get("cascades")
+    fit, slope, ci = a["fit"], b["per_member_slope"], b["per_member_slope_ci"]
+    wl = b["window_length_seconds"]
+    lines = [
+        f"project: {bundle['project']}   measure: {bundle['measure']}",
+        f"single-commit share: {bundle['single_commit_share']:.3f}",
+        f"P(commits) >= n in every window: {bundle['min_commit_inequality_holds']}",
+        "",
+        f"arm A (production scaling, window {a['window_length_seconds'] / DAY:g} d):",
+        f"  beta = {fit['beta']:.4f}  CI [{fit['ci'][0]:.4f}, {fit['ci'][1]:.4f}]"
+        f"  r2 = {fit['r_squared']:.3f}  points = {fit['n_points']}"
+        f"  superlinear = {fit['superlinear']}" if fit else f"  unavailable: {a['error']}",
+        f"arm B (mean productivity, window {wl / DAY:g} d):" if wl
+        else "arm B (mean productivity):",
+        f"  slope of ln(P/n) = {slope:.4f}  CI [{ci[0]:.4f}, {ci[1]:.4f}]"
+        f"  mean P/n = {b['mean_output_per_member']:.3f}" if slope is not None
+        else f"  unavailable: {b['error']}",
+        "tail fits:",
+    ]
+    lines += [f"  {m}: mu = {f['mu']:.4f}  CI [{f['ci'][0]:.4f}, {f['ci'][1]:.4f}]"
+              f"  xmin = {f['xmin']:g}  k = {f['k']}  regime = {bundle['regimes'][m]}"
+              for m, f in bundle["tails"].items()]
+    lines += [f"  {m}: unavailable: {reason}" for m, reason in bundle["tail_errors"].items()]
+    if casc:
+        lines.append(f"cascades: unavailable: {casc['error']}" if "error" in casc else
+                     f"cascades: {casc['cascades']} over {casc['events']} events,"
+                     f" eta_hat = {casc['eta_hat']:.3f} (tau = {casc['tau']:g} s)")
+    return "\n".join(lines) + "\n"
+
+
 def cmd_report(args):
     bundle = json.loads(Path(args.report).read_text(encoding="utf-8"))
-    a = bundle["arm_a"]
-    b = bundle["arm_b"]
-    print(f"project: {bundle['project']}   measure: {bundle['measure']}")
-    print(f"single-commit share: {bundle['single_commit_share']:.3f}")
-    if a["fit"]:
-        f = a["fit"]
-        print(
-            f"arm A: beta = {f['beta']:.4f}  CI [{f['ci'][0]:.4f}, {f['ci'][1]:.4f}]"
-            f"  superlinear = {f['superlinear']}"
-        )
-    else:
-        print(f"arm A: unavailable: {a['error']}")
-    if b["per_member_slope"] is not None:
-        print(
-            f"arm B: per-member slope = {b['per_member_slope']:.4f}"
-            f"  mean P/n = {b['mean_output_per_member']:.3f}"
-        )
-    else:
-        print(f"arm B: unavailable: {b['error']}")
-    for method, fit in bundle.get("tails", {}).items():
-        print(
-            f"tail [{method}]: mu = {fit['mu']:.4f}  "
-            f"CI [{fit['ci'][0]:.4f}, {fit['ci'][1]:.4f}]  "
-            f"regime = {bundle['regimes'].get(method)}"
-        )
-    casc = bundle.get("cascades", {})
-    if "eta_hat" in casc:
-        print(
-            f"cascades: {casc['cascades']} over {casc['events']} events, "
-            f"eta_hat = {casc['eta_hat']:.3f} (tau = {casc['tau']:g} s)"
-        )
+    sys.stdout.write(render_text(bundle))
     return EXIT_OK
 
 
@@ -306,7 +305,7 @@ def _add_analysis_flags(p):
     p.add_argument("--tau", type=float, default=None,
                    help="cascade gap threshold in seconds (default: 10th pct gap)")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--format", default="text", choices=["json", "csv", "text"])
+    p.add_argument("--format", default="text", choices=["json", "text"])
 
 
 def build_parser():
@@ -351,7 +350,8 @@ def build_parser():
     p = sub.add_parser("compare", help="analyze a corpus directory, tally regimes")
     p.add_argument("corpus_dir")
     p.add_argument("-o", "--output-dir", default="scalemetrics-compare")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted and ignored: projects are analysed one by one")
     _add_analysis_flags(p)
     p.set_defaults(func=cmd_compare)
 

@@ -185,6 +185,11 @@ def _parse_payload(files, line_no):
     return tuple(payload)
 
 
+# the JSON types each record field may take; a bool is not an integer here
+_FIELD_TYPES = {"id": (str,), "email": (str, type(None)), "name": (str, type(None)),
+                "ts": (int, float), "added": (int,), "deleted": (int,), "parents": (int,)}
+
+
 def parse_jsonl(text, project_name="project", include_merges=False):
     """Parse the JSONL commit format."""
     commits = []
@@ -197,28 +202,31 @@ def parse_jsonl(text, project_name="project", include_merges=False):
             raise ParseError(f"bad JSON: {exc.msg}", line=line_no) from None
         if not isinstance(obj, dict) or "id" not in obj or "ts" not in obj:
             raise ParseError("record must be an object with 'id' and 'ts'", line=line_no)
+        for key, types in _FIELD_TYPES.items():
+            if key in obj and type(obj[key]) not in types:
+                raise ParseError(f"bad {key!r}: {json.dumps(obj[key])}", line=line_no)
         files = obj.get("files")
         payload = None if files is None else _parse_payload(files, line_no)
-        parents = int(obj.get("parents", 1))
+        parents = obj.get("parents", 1)
         if parents >= 2 and not include_merges:
             continue
-        email = obj.get("email", "") or ""
-        name = obj.get("name", "") or ""
+        email = obj.get("email") or ""
+        name = obj.get("name") or ""
         try:
             commits.append(
                 CommitRecord(
-                    commit_id=str(obj["id"]),
+                    commit_id=obj["id"],
                     author=AuthorId.from_raw(email, name),
                     timestamp=float(obj["ts"]),
-                    lines_added=int(obj.get("added", 0)),
-                    lines_deleted=int(obj.get("deleted", 0)),
+                    lines_added=obj.get("added", 0),
+                    lines_deleted=obj.get("deleted", 0),
                     raw_email=email,
                     raw_name=name,
                     parent_count=parents,
                     diff_payload=payload,
                 )
             )
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # float() of a huge integer
             raise ParseError(str(exc), line=line_no) from None
     return ProjectHistory.build(project_name, commits)
 

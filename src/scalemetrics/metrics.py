@@ -73,9 +73,13 @@ def levenshtein_distance(a, b, size_cap=DEFAULT_SIZE_CAP):
     Bit-parallel (Myers 1999, in Hyyrö's 2003 global-distance form): the
     shorter side is the pattern, one bit per byte, and each byte of the
     longer side advances the whole DP column with a few big-int operations,
-    about ceil(m/64)*n word operations in all. Inputs larger than
+    about ceil(m/64)*n word operations in all. Each side is a str, bytes
+    or bytearray (anything else raises TypeError); inputs larger than
     ``size_cap`` bytes per side raise MeasureUnavailableError.
     """
+    for side in (a, b):
+        if not isinstance(side, (str, bytes, bytearray)):
+            raise TypeError(f"edit distance needs str or bytes, got {type(side).__name__}")
     xs = a.encode("utf-8") if isinstance(a, str) else bytes(a)
     ys = b.encode("utf-8") if isinstance(b, str) else bytes(b)
     if len(xs) > size_cap or len(ys) > size_cap:

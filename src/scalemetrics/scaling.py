@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import linregress
 
 from . import tails
 from .errors import (
@@ -36,6 +35,7 @@ Z_95 = 1.959963984540054
 __all__ = [
     "ScalingFit",
     "MethodologyReport",
+    "ols",
     "log_bin",
     "fit_scaling_exponent",
     "fit_points",
@@ -93,6 +93,24 @@ def log_bin(observations, bins_per_decade=5):
     return out
 
 
+def ols(x, y):
+    """Least-squares line of y on x: (slope, intercept, slope_stderr, r).
+
+    The closed form of ``scipy.stats.linregress``, step for step, so the
+    results agree to the bit: r is clamped to [-1, 1] and is nan when y is
+    constant. ``x`` must hold at least three points, not all equal.
+    """
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = np.nan if ssxym == 0 else 0.0
+    else:
+        r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+    slope = ssxym / ssxm
+    intercept = np.mean(y) - slope * np.mean(x)
+    stderr = np.sqrt((1 - r**2) * ssym / ssxm / (len(x) - 2))
+    return slope, intercept, stderr, r
+
+
 def fit_points(ns, ps):
     """OLS of ln P on ln n; raises on degenerate input."""
     ns = np.asarray(ns, dtype=float)
@@ -103,9 +121,8 @@ def fit_points(ns, ps):
     log_p = np.log(ps)
     if np.ptp(log_n) == 0:
         raise DegenerateDataError("zero variance in ln n")
-    res = linregress(log_n, log_p)
-    se = res.stderr if np.isfinite(res.stderr) else 0.0
-    return res.slope, res.intercept, se, res.rvalue**2
+    slope, intercept, se, r = ols(log_n, log_p)
+    return slope, intercept, se if np.isfinite(se) else 0.0, r**2
 
 
 def fit_scaling_exponent(observations, use_binning=False, bins_per_decade=5):
@@ -194,47 +211,6 @@ class MethodologyReport:
             "min_commit_inequality_holds": self.min_commit_inequality_holds,
             "unavailable_commits": self.unavailable_commits,
         }
-
-    def to_text(self):
-        lines = [
-            f"project: {self.project_name}   measure: {self.measure}",
-            f"single-commit share: {self.single_commit_share:.3f}",
-            f"P(commits) >= n in every window: {self.min_commit_inequality_holds}",
-            "",
-            f"arm A (production scaling, window {self.arm_a_window_length / 86400:g} d):",
-        ]
-        if self.arm_a:
-            a = self.arm_a
-            lines.append(
-                f"  beta = {a.beta:.4f}  CI [{a.ci_low:.4f}, {a.ci_high:.4f}]"
-                f"  r2 = {a.r_squared:.3f}  points = {a.n_points}"
-                f"  superlinear = {a.superlinear}"
-            )
-        else:
-            lines.append(f"  unavailable: {self.arm_a_error}")
-        wl = self.arm_b_window_length
-        lines.append(
-            f"arm B (mean productivity, window "
-            f"{wl / 86400:g} d):" if wl else "arm B (mean productivity):"
-        )
-        if self.arm_b_slope is not None:
-            lines.append(
-                f"  slope of ln(P/n) = {self.arm_b_slope:.4f}"
-                f"  CI [{self.arm_b_ci[0]:.4f}, {self.arm_b_ci[1]:.4f}]"
-                f"  mean P/n = {self.arm_b_mean_output_per_member:.3f}"
-            )
-        else:
-            lines.append(f"  unavailable: {self.arm_b_error}")
-        lines.append("tail fits:")
-        for method, fit in sorted(self.tail_fits.items()):
-            lines.append(
-                f"  {method}: mu = {fit.mu:.4f}  CI [{fit.ci_low:.4f}, {fit.ci_high:.4f}]"
-                f"  xmin = {fit.xmin:g}  k = {fit.k}"
-                f"  regime = {self.regimes[method]}"
-            )
-        for method, reason in sorted(self.tail_errors.items()):
-            lines.append(f"  {method}: unavailable: {reason}")
-        return "\n".join(lines) + "\n"
 
 
 def _per_member_trend(observations):

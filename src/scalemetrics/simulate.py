@@ -21,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import linregress
 
 from .ingest import AuthorId, CommitRecord, ProjectHistory
+from .scaling import ols
 from .windows import DAY
 
 DEFAULT_EVENT_CAP = 10**6
@@ -129,8 +129,8 @@ def simulate_sum_scaling(mu, n_values, trials=100, seed=42):
         u = 1.0 - rng.random((trials, n))
         sums = np.sum(u ** (-1.0 / mu), axis=1)
         medians.append(float(np.median(sums)))
-    res = linregress(np.log(n_values), np.log(medians))
-    return float(res.slope)
+    slope, _, _, _ = ols(np.log(n_values), np.log(medians))
+    return float(slope)
 
 
 @dataclass(frozen=True)
@@ -174,6 +174,8 @@ def simulate_branching_stream(model, participants, participation_mu,
     """
     if participants < 1:
         raise ValueError("participants must be >= 1")
+    if participation_mu <= 0:
+        raise ValueError("participation_mu must be positive")
     rng = np.random.default_rng(model.seed)
     n_imm = rng.poisson(model.immigrant_rate * model.horizon)
     times = list(np.sort(rng.random(n_imm) * model.horizon))

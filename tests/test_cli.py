@@ -1,9 +1,14 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import scalemetrics
 from scalemetrics.cli import main, parse_duration
 from scalemetrics.errors import ConfigError
 
@@ -73,6 +78,27 @@ def test_parse_duration():
         parse_duration("5x")
     with pytest.raises(ConfigError):
         parse_duration("-3d")
+    for text in ("nan", "inf", "-inf", "infd", "1e308d"):
+        with pytest.raises(ConfigError):
+            parse_duration(text)
+
+
+def test_window_nan_is_usage_error(tmp_path, capsys):
+    src = tmp_path / "h.jsonl"
+    src.write_text('{"id": "a", "email": "a@x", "ts": 1}\n')
+    assert main(["analyze", str(src), "-o", str(tmp_path / "out"),
+                 "--window", "nan"]) == 1
+    assert "finite" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(scalemetrics.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, scalemetrics.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_ingest_empty_file(tmp_path, capsys):
@@ -244,6 +270,20 @@ def test_compare_corpus_summary(zipf_corpus, tmp_path, capsys):
         jsonschema.validate(report, REPORT_SCHEMA)
 
 
+def test_compare_jobs_do_not_change_outputs(zipf_corpus, tmp_path, capsys):
+    outs, stdouts = [tmp_path / "jobs1", tmp_path / "jobs2"], []
+    for jobs, out in zip(("1", "2"), outs):
+        assert main(["compare", str(zipf_corpus), "-o", str(out),
+                     "--jobs", jobs]) == 0
+        stdouts.append(capsys.readouterr().out)
+    assert stdouts[0] == stdouts[1]
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert "summary.json" in names
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_compare_empty_dir_exit_2(tmp_path):
     assert main(["compare", str(tmp_path), "-o", str(tmp_path / "x")]) == 2
 
@@ -255,6 +295,34 @@ def test_report_renders_saved_json(zipf_corpus, tmp_path, capsys):
     assert main(["report", str(out / "report.json")]) == 0
     text = capsys.readouterr().out
     assert "arm A" in text and "cascades" in text
+
+
+@pytest.mark.parametrize("solo", [False, True])
+def test_analyze_text_equals_report_of_saved_json(solo, zipf_corpus, tmp_path, capsys):
+    src = zipf_corpus / "proj1.jsonl"
+    if solo:  # arm A and the tail fits refuse
+        src = tmp_path / "solo.jsonl"
+        src.write_text("".join(
+            json.dumps({"id": f"c{i}", "email": "solo@x", "ts": i * 1000.0}) + "\n"
+            for i in range(20)))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["analyze", str(src), "-o", str(out), "--format", "text"]) == 0
+    analyzed = capsys.readouterr().out
+    assert main(["report", str(out / "report.json")]) == 0
+    assert capsys.readouterr().out == analyzed
+    assert "\ncascades: " in analyzed
+    if solo:
+        assert "  unavailable: " in analyzed
+    else:  # arm A's r2 and points, arm B's CI, the tails' xmin and k
+        for part in ("  r2 = ", "  points = ", "slope of ln(P/n)", "  xmin = ",
+                     "  k = "):
+            assert part in analyzed
+
+
+def test_format_csv_is_not_offered(zipf_corpus, tmp_path):
+    assert main(["analyze", str(zipf_corpus / "proj0.jsonl"), "-o",
+                 str(tmp_path / "out"), "--format", "csv"]) == 1
 
 
 def test_env_seed_used(tmp_path, monkeypatch):

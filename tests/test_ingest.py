@@ -132,6 +132,39 @@ def test_jsonl_malformed_payload_rejected(files, tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", [
+    {"added": None},
+    {"ts": None},
+    {"email": 5},
+    {"added": 1.7},  # not truncated to 1
+    {"added": True},  # not read as 1
+    {"deleted": "3"},
+    {"name": ["x"]},  # not written back as a list
+    {"parents": "x"},
+    {"parents": False},
+    {"id": 7},
+    {"ts": "100"},
+    {"ts": 10**400},  # an integer too large for a float
+])
+def test_jsonl_malformed_field_rejected(field, tmp_path, capsys):
+    record = {"id": "b", "email": "a@x", "ts": 2, **field}
+    text = '{"id": "a", "email": "a@x", "ts": 1}\n' + json.dumps(record) + "\n"
+    with pytest.raises(ParseError) as exc:
+        parse_jsonl(text)
+    assert "line 2" in str(exc.value)
+    src = tmp_path / "bad.jsonl"
+    src.write_text(text)
+    assert main(["analyze", str(src), "-o", str(tmp_path / "out")]) == 2
+    assert "line 2" in capsys.readouterr().err
+
+
+def test_jsonl_null_identity_fields_read_as_empty():
+    text = '{"id": "a", "ts": 1, "email": null, "name": "Ann"}\n'
+    commit = parse_jsonl(text).commits[0]
+    assert (commit.raw_email, commit.raw_name, commit.author.canonical_key) == (
+        "", "Ann", "ann")
+
+
 def test_jsonl_payload_sides_default_to_empty():
     text = '{"id": "a", "ts": 1, "email": "a@x", "files": [{"new": "ab"}, {}]}\n'
     assert parse_jsonl(text).commits[0].diff_payload == (("", "ab"), ("", ""))

@@ -98,6 +98,15 @@ def test_lev_size_cap():
         levenshtein_distance("x" * 100, "y", size_cap=10)
 
 
+@pytest.mark.parametrize("side", [5, None, ["a"], memoryview(b"ab")])
+def test_lev_rejects_non_text_sides(side):
+    with pytest.raises(TypeError):
+        levenshtein_distance(side, "ab")
+    with pytest.raises(TypeError):
+        levenshtein_distance("ab", side)
+    assert levenshtein_distance(bytearray(b"ab"), "b") == 1
+
+
 def test_commit_production_measures():
     c = make_commit("c1", "a@x", 1, added=5, deleted=2)
     assert commit_production(c, ProductionMeasure.COMMITS) == 1

@@ -1,9 +1,15 @@
 import random
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from scipy.stats import linregress
 
 from scalemetrics import tails
+from scalemetrics.cli import render_text
 from scalemetrics.errors import DegenerateDataError, InsufficientDataError, ScaleMetricsError
 from scalemetrics.metrics import ProductionMeasure, WindowObservation
 from scalemetrics.scaling import (
@@ -11,6 +17,7 @@ from scalemetrics.scaling import (
     fit_scaling_exponent,
     log_bin,
     methodology_compare,
+    ols,
 )
 from scalemetrics.simulate import simulate_zipf_growth
 from scalemetrics.windows import FixedWindow, QuantileWindow
@@ -133,9 +140,38 @@ def test_methodology_compare_single_author():
 def test_report_text_rendering():
     history = simulate_zipf_growth(10.0, 0.5, max_n=40, seed=4)
     report = methodology_compare(history, ProductionMeasure.COMMITS)
-    text = report.to_text()
+    text = render_text(report.to_json())
     assert "arm A" in text and "arm B" in text
     assert "beta" in text
+
+
+# ln of team sizes and productions, as fit_points passes them, or any floats
+_log_sides = st.one_of(
+    st.lists(st.integers(1, 10**6), min_size=5, max_size=60).map(np.log),
+    st.lists(st.floats(-50, 50), min_size=5, max_size=60).map(np.asarray),
+)
+# y is one constant, or the first len(x) of 60 floats
+_y_sides = st.one_of(st.floats(-50, 50), st.lists(st.floats(-50, 50), min_size=60,
+                                                  max_size=60))
+
+
+def _same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_log_sides, _y_sides)
+@example(np.log([1.0, 2.0, 3.0, 5.0, 8.0]), [0.7, 1.1, 1.9, 2.2, 3.0])
+@example(np.log([1.0, 2.0, 3.0, 5.0, 8.0]), 1.5)
+def test_ols_matches_linregress(x, y):
+    # scipy stays in the tests as the oracle the closed form is held to
+    y = np.full(len(x), y) if isinstance(y, float) else np.asarray(y[:len(x)])
+    assume(np.ptp(x) > 0)
+    with np.errstate(all="ignore"):  # subnormal spreads: both divide by zero
+        ref = linregress(x, y)
+        got = ols(x, y)
+    expected = (ref.slope, ref.intercept, ref.stderr, ref.rvalue)
+    assert all(_same(g, e) for g, e in zip(got, expected)), (got, expected)
 
 
 def _outcome(fn, *args, **kwargs):

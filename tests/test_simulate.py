@@ -126,6 +126,14 @@ def test_branching_history_valid_and_roundtrips():
     assert len(h2) == len(h)
 
 
+@pytest.mark.parametrize("mu", [0.0, -1.0])
+def test_branching_rejects_non_positive_participation_mu(mu):
+    model = BranchingModel(eta=0.3, immigrant_rate=0.01, offspring_delay_scale=1.0,
+                           horizon=1000.0, seed=1)
+    with pytest.raises(ValueError, match="participation_mu"):
+        simulate_branching_stream(model, participants=10, participation_mu=mu)
+
+
 def test_branching_event_cap_truncates():
     model = BranchingModel(eta=1.0, immigrant_rate=0.01, offspring_delay_scale=1.0,
                            horizon=10**7, seed=2, event_cap=5000)
