@@ -6,12 +6,17 @@ tau. With one immigrant per cascade in the branching picture, the
 triggered fraction estimates the branching ratio:
 eta_hat = 1 - cascades / events. eta_hat close to 1 indicates a critical,
 self-sustained regime.
+
+Both :func:`default_tau` and :func:`branching_ratio` work on the gap array
+``np.diff`` of the history's timestamp column: the cascades start where a
+gap exceeds tau, so their sizes are the distances between those positions.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InsufficientDataError
 from .windows import _nearest_rank
@@ -60,9 +65,8 @@ class CascadeStats:
 
 def default_tau(history):
     """10th-percentile gap between consecutive commits (any author)."""
-    ts = [c.timestamp for c in history.commits]
-    gaps = sorted(b - a for a, b in zip(ts, ts[1:]))
-    if not gaps:
+    gaps = np.diff(history.columns.ts)
+    if not len(gaps):
         raise InsufficientDataError("need >= 2 commits to derive a gap threshold")
     tau = _nearest_rank(gaps, 0.1)
     if tau <= 0:
@@ -70,28 +74,27 @@ def default_tau(history):
     return tau
 
 
-def detect_cascades(history, tau):
-    """Exhaustive, disjoint partition of commits into gap-bounded runs."""
+def _cascade_bounds(history, tau):
+    """Positions where the cascades start, plus len(history) at the end."""
     if tau <= 0:
         raise ValueError("tau must be positive")
     if len(history) == 0:
         raise InsufficientDataError("history has no commits")
-    cascades = []
-    current = [history.commits[0]]
-    for prev, cur in zip(history.commits, history.commits[1:]):
-        if cur.timestamp - prev.timestamp > tau:
-            cascades.append(current)
-            current = [cur]
-        else:
-            current.append(cur)
-    cascades.append(current)
+    starts = np.flatnonzero(np.diff(history.columns.ts) > tau) + 1
+    return np.concatenate(([0], starts, [len(history)]))
+
+
+def detect_cascades(history, tau):
+    """Exhaustive, disjoint partition of commits into gap-bounded runs."""
+    bounds = _cascade_bounds(history, tau).tolist()
+    commits = history.commits
     return [
         Cascade(
-            commit_ids=tuple(c.commit_id for c in group),
-            start_ts=group[0].timestamp,
-            end_ts=group[-1].timestamp,
+            commit_ids=tuple(c.commit_id for c in commits[a:b]),
+            start_ts=commits[a].timestamp,
+            end_ts=commits[b - 1].timestamp,
         )
-        for group in cascades
+        for a, b in zip(bounds, bounds[1:])
     ]
 
 
@@ -99,13 +102,14 @@ def branching_ratio(history, tau=None):
     """CascadeStats with the immigrant-fraction branching-ratio estimate."""
     if tau is None:
         tau = default_tau(history)
-    cascades = detect_cascades(history, tau)
+    sizes, counts = np.unique(np.diff(_cascade_bounds(history, tau)),
+                              return_counts=True)
+    cascades = int(counts.sum())
     events = len(history)
-    sizes = Counter(c.size for c in cascades)
     return CascadeStats(
         tau=float(tau),
-        cascade_count=len(cascades),
+        cascade_count=cascades,
         event_count=events,
-        eta_hat=1.0 - len(cascades) / events,
-        size_distribution=tuple(sorted(sizes.items())),
+        eta_hat=1.0 - cascades / events,
+        size_distribution=tuple(zip(sizes.tolist(), counts.tolist())),
     )

@@ -112,6 +112,17 @@ def cmd_ingest(args):
     return EXIT_OK
 
 
+def _check_analysis_flags(args):
+    """Refuse out-of-range analysis flags as usage errors."""
+    if not 0 < args.quantile < 1:
+        raise ConfigError(f"--quantile must be in (0, 1), got {args.quantile}")
+    if args.tau is not None and not 0 < args.tau < math.inf:
+        raise ConfigError(f"--tau must be positive and finite, got {args.tau}")
+    if args.bins_per_decade < 0:
+        raise ConfigError(
+            f"--bins-per-decade must be >= 0, got {args.bins_per_decade}")
+
+
 def _analyze_history(history, args):
     """Full per-project analysis bundle as a plain dict."""
     measure = ProductionMeasure.from_string(args.measure)
@@ -143,6 +154,7 @@ def _analyze_history(history, args):
 
 
 def cmd_analyze(args):
+    _check_analysis_flags(args)
     history = _load_history(args.input, input_format=args.input_format)
     bundle, report = _analyze_history(history, args)
     outdir = Path(args.output_dir)
@@ -215,6 +227,7 @@ def cmd_simulate(args):
 
 
 def cmd_compare(args):
+    _check_analysis_flags(args)
     corpus = sorted(Path(args.corpus_dir).glob("*.jsonl"))
     if not corpus:
         print(f"no *.jsonl files in {args.corpus_dir}", file=sys.stderr)

@@ -18,6 +18,11 @@ Two input formats are supported:
 
 Merge commits (parent_count >= 2) carry no numstat deltas and are excluded
 by default; pass ``include_merges=True`` to keep them.
+
+The parsers give each distinct author one shared :class:`AuthorId` object,
+looked up once per distinct raw (email, name). The :class:`CommitRecord` rows of a
+:class:`ProjectHistory` are its source of truth; the analyses read its
+:attr:`~ProjectHistory.columns`, a columnar index built once on first use.
 """
 
 from __future__ import annotations
@@ -25,12 +30,18 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
+from operator import attrgetter
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import ConfigError, ParseError
 
 __all__ = [
     "AuthorId",
     "CommitRecord",
+    "HistoryColumns",
     "ProjectHistory",
     "parse_commit_log",
     "parse_jsonl",
@@ -76,6 +87,25 @@ class CommitRecord:
             raise ValueError("line deltas must be non-negative")
 
 
+class HistoryColumns(NamedTuple):
+    """The per-commit columns the analyses read, in history order."""
+
+    ts: np.ndarray  # float64 commit timestamps
+    author: np.ndarray  # intp author codes, numbered in order of first appearance
+    authors: tuple  # the AuthorId of each code
+
+    @classmethod
+    def from_commits(cls, commits):
+        codes = {}
+        author = np.fromiter(
+            (codes.setdefault(c.author.canonical_key, len(codes)) for c in commits),
+            dtype=np.intp, count=len(commits))
+        ts = np.fromiter((c.timestamp for c in commits), dtype=float,
+                         count=len(commits))
+        first = np.unique(author, return_index=True)[1]
+        return cls(ts, author, tuple(commits[i].author for i in first))
+
+
 @dataclass(frozen=True)
 class ProjectHistory:
     project_name: str
@@ -84,26 +114,42 @@ class ProjectHistory:
     @classmethod
     def build(cls, project_name, commits):
         """Sort commits by timestamp and check commit-id uniqueness."""
-        commits = tuple(sorted(commits, key=lambda c: (c.timestamp, c.commit_id)))
-        seen = set()
-        for c in commits:
-            if c.commit_id in seen:
-                raise ParseError(f"duplicate commit id {c.commit_id!r}")
-            seen.add(c.commit_id)
+        commits = tuple(sorted(commits, key=attrgetter("timestamp", "commit_id")))
+        if len({c.commit_id for c in commits}) < len(commits):
+            seen = set()
+            for c in commits:
+                if c.commit_id in seen:
+                    raise ParseError(f"duplicate commit id {c.commit_id!r}")
+                seen.add(c.commit_id)
         return cls(project_name, commits)
 
     def __len__(self):
         return len(self.commits)
 
+    @cached_property
+    def columns(self):
+        """:class:`HistoryColumns` of the commits, built on first use."""
+        return HistoryColumns.from_commits(self.commits)
+
     @property
     def authors(self):
-        return frozenset(c.author for c in self.commits)
+        return frozenset(self.columns.authors)
 
     def commits_per_author(self):
-        counts = {}
-        for c in self.commits:
-            counts[c.author] = counts.get(c.author, 0) + 1
-        return counts
+        """Commit count per author, in order of first appearance."""
+        cols = self.columns
+        return dict(zip(cols.authors, np.bincount(cols.author).tolist()))
+
+
+def _shared_author(authors, email, name):
+    """The one AuthorId of the author a raw (email, name) pair normalises
+    to; ValueError for an empty identity. ``authors`` caches it under both
+    the raw pair and the canonical key."""
+    author = authors.get((email, name))
+    if author is None:
+        author = AuthorId.from_raw(email, name)
+        author = authors[email, name] = authors.setdefault(author.canonical_key, author)
+    return author
 
 
 def _parse_numstat_field(raw, line_no):
@@ -121,6 +167,7 @@ def _parse_numstat_field(raw, line_no):
 def parse_commit_log(text, project_name="project", include_merges=False):
     """Parse the pinned pipe-delimited commit-log format."""
     commits = []
+    authors = {}
     lines = text.splitlines()
     i = 0
     while i < len(lines):
@@ -155,7 +202,7 @@ def parse_commit_log(text, project_name="project", include_merges=False):
             commits.append(
                 CommitRecord(
                     commit_id=commit_id,
-                    author=AuthorId.from_raw(email, name),
+                    author=_shared_author(authors, email, name),
                     timestamp=ts,
                     lines_added=added,
                     lines_deleted=deleted,
@@ -193,6 +240,7 @@ _FIELD_TYPES = {"id": (str,), "email": (str, type(None)), "name": (str, type(Non
 def parse_jsonl(text, project_name="project", include_merges=False):
     """Parse the JSONL commit format."""
     commits = []
+    authors = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -216,7 +264,7 @@ def parse_jsonl(text, project_name="project", include_merges=False):
             commits.append(
                 CommitRecord(
                     commit_id=obj["id"],
-                    author=AuthorId.from_raw(email, name),
+                    author=_shared_author(authors, email, name),
                     timestamp=float(obj["ts"]),
                     lines_added=obj.get("added", 0),
                     lines_deleted=obj.get("deleted", 0),
@@ -295,12 +343,22 @@ def resolve_authors(history, alias_map=None, drop_authors=()):
     """
     aliases = _normalize_alias_map(alias_map or {})
     drop = {str(a).strip().lower() for a in drop_authors}
+    resolved = {}  # (raw_email, raw_name, key) -> AuthorId, None if dropped
+    shared = {}  # resolved key -> its one AuthorId
     commits = []
     for c in history.commits:
-        key = _raw_key(c) or c.author.canonical_key
-        while key in aliases:
-            key = aliases[key]
-        if key in drop:
+        current = c.author.canonical_key
+        identity = (c.raw_email, c.raw_name, current)
+        if identity not in resolved:
+            key = _raw_key(c) or current
+            while key in aliases:
+                key = aliases[key]
+            resolved[identity] = None if key in drop else shared.setdefault(
+                key, c.author if key == current else AuthorId(key))
+        author = resolved[identity]
+        if author is None:
             continue
-        commits.append(replace(c, author=AuthorId(key)))
+        # a record whose key is unchanged is kept as it is
+        commits.append(c if author.canonical_key == current
+                       else replace(c, author=author))
     return ProjectHistory.build(history.project_name, commits)

@@ -16,7 +16,10 @@ shorter side of m bytes and a longer side of n bytes.
 
 Each commit's production is computed once per analysis by
 :func:`commit_productions`; arm A, arm B and the tail distribution all read
-that one per-commit list.
+that one per-commit list. :func:`series_observations` sums it per window
+with ``np.bincount`` over the sparse windows of
+:func:`~scalemetrics.windows.team_windows`, adding in commit order, so the
+sums are those of a loop over the commits.
 """
 
 from __future__ import annotations
@@ -24,8 +27,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import MeasureUnavailableError
-from .windows import active_team_series
+from .windows import resolve_window_length, team_windows
 
 DEFAULT_SIZE_CAP = 1 << 20  # 1 MiB per side
 
@@ -35,6 +40,7 @@ __all__ = [
     "levenshtein_distance",
     "commit_production",
     "commit_productions",
+    "production_column",
     "series_observations",
     "window_observations",
     "window_observations_with_coverage",
@@ -151,31 +157,34 @@ def commit_productions(history, measure, size_cap=DEFAULT_SIZE_CAP):
     return values, unavailable
 
 
-def series_observations(history, series, productions):
-    """One WindowObservation per non-empty window of ``series`` (from
-    :func:`active_team_series` on ``history``), summing the per-commit
-    ``productions`` (from :func:`commit_productions`) that are available."""
-    t0 = history.commits[0].timestamp
-    length = series[0].end_ts - series[0].start_ts
-    count = len(series)
-    production = [0.0] * count
-    for c, p in zip(history.commits, productions):
-        if p is not None:
-            idx = min(int((c.timestamp - t0) // length), count - 1)
-            production[idx] += p
+def production_column(productions):
+    """(values, available) arrays of per-commit ``productions`` (from
+    :func:`commit_productions`): float64 values, and a mask that is False
+    where the measure was unavailable (None)."""
+    values = np.array(productions, dtype=float)  # None reads as nan
+    return values, ~np.isnan(values)
+
+
+def series_observations(team, productions):
+    """One WindowObservation per window of ``team`` (the non-empty windows
+    from :func:`~scalemetrics.windows.team_windows`), summing the
+    per-commit ``productions`` that are available."""
+    values, available = production_column(productions)
+    production = np.bincount(team.slot[available], weights=values[available],
+                             minlength=len(team.index))
     return [
-        WindowObservation(w.start_ts, w.end_ts, w.n, production[i])
-        for i, w in enumerate(series)
-        if w.n > 0
+        WindowObservation(*row)
+        for row in zip(team.start_ts.tolist(), team.end_ts.tolist(),
+                       team.n.tolist(), production.tolist())
     ]
 
 
 def window_observations_with_coverage(history, definition, measure,
                                       size_cap=DEFAULT_SIZE_CAP):
     """(observations, unavailable_commit_count) for non-empty windows."""
-    series = active_team_series(history, definition)
+    team = team_windows(history, resolve_window_length(history, definition))
     productions, unavailable = commit_productions(history, measure, size_cap)
-    return series_observations(history, series, productions), unavailable
+    return series_observations(team, productions), unavailable
 
 
 def window_observations(history, definition, measure, size_cap=DEFAULT_SIZE_CAP):

@@ -25,9 +25,9 @@ from .metrics import commit_productions, series_observations
 from .windows import (
     FixedWindow,
     QuantileWindow,
-    active_team_series,
     resolve_window_length,
     single_commit_share,
+    team_windows,
 )
 
 Z_95 = 1.959963984540054
@@ -236,14 +236,15 @@ def methodology_compare(history, measure, fixed_window=None, quantile=0.9,
     """Run both methodologies plus tail fits on the same history.
 
     Each commit's production is computed once and shared by arm A, arm B
-    and the tail distribution. ``estimator`` ("hill", "mle" or "both")
+    and the tail distribution; each arm windows the history once, keeping
+    only its non-empty windows. ``estimator`` ("hill", "mle" or "both")
     selects the tail fits that are run.
     """
     methods = TAIL_METHODS[estimator]
     fixed_window = fixed_window or FixedWindow()
-    series_a = active_team_series(history, fixed_window)
+    team_a = team_windows(history, fixed_window.length)
     productions, unavailable = commit_productions(history, measure)
-    obs_a = series_observations(history, series_a, productions)
+    obs_a = series_observations(team_a, productions)
 
     arm_a = None
     arm_a_error = None
@@ -258,9 +259,7 @@ def methodology_compare(history, measure, fixed_window=None, quantile=0.9,
     arm_b_length = None
     try:
         arm_b_length = resolve_window_length(history, QuantileWindow(quantile))
-        # the quantile is resolved once; the series reuses its length
-        series_b = active_team_series(history, FixedWindow(arm_b_length))
-        obs_b = series_observations(history, series_b, productions)
+        obs_b = series_observations(team_windows(history, arm_b_length), productions)
         arm_b_slope, arm_b_ci, arm_b_mean = _per_member_trend(obs_b)
     except ScaleMetricsError as exc:
         arm_b_error = str(exc)
@@ -290,7 +289,7 @@ def methodology_compare(history, measure, fixed_window=None, quantile=0.9,
     }
 
     # P >= n under the commit-count measure: every active author has a commit
-    inequality = all(w.commit_count >= w.n for w in series_a)
+    inequality = bool(np.all(team_a.commit_count >= team_a.n))
 
     return MethodologyReport(
         project_name=history.project_name,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, InsufficientDataError
-from .metrics import commit_productions
+from .metrics import commit_productions, production_column
 
 MIN_TAIL_POINTS = 10
 
@@ -56,12 +56,17 @@ class ContributionDistribution:
     @classmethod
     def from_productions(cls, history, productions, measure):
         """As :meth:`from_history`, from per-commit ``productions`` already
-        computed by :func:`~scalemetrics.metrics.commit_productions`."""
-        totals = {}
-        for c, p in zip(history.commits, productions):
-            if p is not None:
-                totals[c.author] = totals.get(c.author, 0.0) + p
-        values = tuple(v for v in totals.values() if v > 0)
+        computed by :func:`~scalemetrics.metrics.commit_productions`.
+
+        The totals are summed in commit order and listed in the order of
+        each author's first available commit, which the bootstrap draws
+        depend on."""
+        values, available = production_column(productions)
+        author = history.columns.author[available]
+        totals = np.bincount(author, weights=values[available])
+        codes, first = np.unique(author, return_index=True)
+        totals = totals[codes[np.argsort(first)]]
+        values = tuple(totals[totals > 0].tolist())
         if not values:
             raise InsufficientDataError("no author has positive production")
         return cls(values=values, measure=measure)

@@ -4,14 +4,22 @@ A team is the set of developers with at least one commit inside a tumbling
 (non-overlapping, contiguous) time window. Two window-length conventions are
 supported: a fixed short window (default 5 days) and a data-driven one, the
 q-th quantile (default 0.9) of the pooled per-author inter-commit gaps.
-Windows are anchored at the first commit timestamp; empty windows are kept
-in the series (downstream fits drop them).
+Windows are anchored at the first commit timestamp.
+
+:func:`team_windows` computes the windows with array operations on the
+history's columns and keeps only the non-empty ones, so a short window over
+a long span costs no more than the commits it holds. A window count above
+2**53, where float64 window starts stop being distinct, is refused with
+DegenerateDataError. :func:`active_team_series` is the dense view that also
+lists the empty windows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DegenerateDataError, InsufficientDataError
 
@@ -21,8 +29,10 @@ __all__ = [
     "FixedWindow",
     "QuantileWindow",
     "ActivityWindow",
+    "TeamWindows",
     "inter_commit_quantile",
     "resolve_window_length",
+    "team_windows",
     "active_team_series",
     "single_commit_share",
     "windows_to_csv",
@@ -64,9 +74,10 @@ class ActivityWindow:
         return len(self.active_authors)
 
 
-def _nearest_rank(sorted_values, q):
-    rank = max(1, math.ceil(q * len(sorted_values)))
-    return sorted_values[rank - 1]
+def _nearest_rank(values, q):
+    """Nearest-rank q-th quantile of a non-empty float array, as a float."""
+    rank = max(1, math.ceil(q * len(values)))
+    return float(np.partition(values, rank - 1)[rank - 1])
 
 
 def inter_commit_quantile(history, q):
@@ -74,16 +85,11 @@ def inter_commit_quantile(history, q):
     pooled across all authors."""
     if not 0 < q < 1:
         raise ValueError("quantile must be in (0, 1)")
-    per_author = {}
-    for c in history.commits:
-        per_author.setdefault(c.author, []).append(c.timestamp)
-    gaps = []
-    for times in per_author.values():
-        times.sort()
-        gaps.extend(b - a for a, b in zip(times, times[1:]))
-    if not gaps:
+    ts, author, _ = history.columns
+    order = np.lexsort((ts, author))  # by author, then time
+    gaps = np.diff(ts[order])[np.diff(author[order]) == 0]
+    if not len(gaps):
         raise InsufficientDataError("no author has two or more commits")
-    gaps.sort()
     return _nearest_rank(gaps, q)
 
 
@@ -100,38 +106,85 @@ def resolve_window_length(history, definition):
     raise TypeError(f"unknown team definition {definition!r}")
 
 
-def active_team_series(history, definition):
-    """Tumbling windows covering [first_ts, last_ts], anchored at first_ts."""
+#: the most windows one span may be cut into: past 2**53, float64 window
+#: indices and starts no longer tell neighbouring windows apart
+MAX_WINDOWS = 2**53
+
+
+@dataclass(frozen=True, eq=False)
+class TeamWindows:
+    """The non-empty tumbling windows of one history, as arrays.
+
+    Window ``index[j]`` covers [t0 + index[j]*length, t0 + (index[j]+1)*length)
+    and holds ``n[j]`` active authors and ``commit_count[j]`` commits.
+    ``slot[i]`` is the position in these arrays of commit i's window.
+    ``count`` is the number of windows in the dense series, empty ones
+    included.
+    """
+
+    t0: float
+    length: float
+    count: int
+    index: np.ndarray
+    n: np.ndarray
+    commit_count: np.ndarray
+    slot: np.ndarray
+
+    @property
+    def start_ts(self):
+        return self.t0 + self.index * self.length
+
+    @property
+    def end_ts(self):
+        return self.t0 + (self.index + 1) * self.length
+
+
+def team_windows(history, length):
+    """:class:`TeamWindows` of ``history`` for windows of ``length`` seconds,
+    anchored at the first commit."""
+    if not length > 0:
+        raise ValueError("window length must be positive")
     if len(history) == 0:
         raise InsufficientDataError("history has no commits")
-    length = resolve_window_length(history, definition)
-    t0 = history.commits[0].timestamp
-    t_last = history.commits[-1].timestamp
-    count = int((t_last - t0) // length) + 1
-    authors = [set() for _ in range(count)]
-    commit_counts = [0] * count
-    for c in history.commits:
-        idx = min(int((c.timestamp - t0) // length), count - 1)
-        authors[idx].add(c.author)
-        commit_counts[idx] += 1
-    return [
-        ActivityWindow(
-            start_ts=t0 + i * length,
-            end_ts=t0 + (i + 1) * length,
-            active_authors=frozenset(authors[i]),
-            commit_count=commit_counts[i],
-        )
-        for i in range(count)
-    ]
+    ts, author, authors = history.columns
+    t0 = float(ts[0])
+    last = (float(ts[-1]) - t0) // length
+    if not last < MAX_WINDOWS:  # so that last + 1 windows <= 2**53
+        raise DegenerateDataError(
+            f"a window of {length:g} s cuts the span of {ts[-1] - t0:g} s into "
+            f"more than 2**53 windows")
+    count = int(last) + 1
+    # float floor division, as Python's // computes it per commit
+    window = np.minimum((ts - t0) // length, count - 1).astype(np.int64)
+    index, slot, commit_count = np.unique(window, return_inverse=True,
+                                          return_counts=True)
+    pairs = np.unique(slot * len(authors) + author)
+    n = np.bincount(pairs // len(authors), minlength=len(index))
+    return TeamWindows(t0, float(length), count, index, n, commit_count, slot)
+
+
+def active_team_series(history, definition):
+    """Tumbling windows covering [first_ts, last_ts], anchored at first_ts,
+    empty windows included."""
+    team = team_windows(history, resolve_window_length(history, definition))
+    _, author, authors = history.columns
+    # the distinct (window, author) pairs, grouped by window
+    pairs = np.unique(team.slot * len(authors) + author) % len(authors)
+    members = [frozenset(map(authors.__getitem__, codes.tolist()))
+               for codes in np.split(pairs, np.cumsum(team.n)[:-1])]
+    filled = dict(zip(team.index.tolist(), zip(members, team.commit_count.tolist())))
+    empty = (frozenset(), 0)
+    t0, length = team.t0, team.length
+    return [ActivityWindow(t0 + i * length, t0 + (i + 1) * length, *filled.get(i, empty))
+            for i in range(team.count)]
 
 
 def single_commit_share(history):
     """Fraction of all commits authored by developers with exactly one commit."""
     if len(history) == 0:
         raise InsufficientDataError("history has no commits")
-    counts = history.commits_per_author()
-    singles = sum(1 for v in counts.values() if v == 1)
-    return singles / len(history)
+    singles = np.count_nonzero(np.bincount(history.columns.author) == 1)
+    return int(singles) / len(history)
 
 
 def windows_to_csv(series):

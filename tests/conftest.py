@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from scalemetrics.ingest import AuthorId, CommitRecord, ProjectHistory
 
@@ -63,6 +64,38 @@ def random_payload_history(rng, n_commits=120, n_authors=60, span=400_000.0,
         for i in range(n_commits)
     ]
     return ProjectHistory.build(name, commits)
+
+
+# anchors near today's epoch seconds make (ts - t0) round; the short
+# lengths are not binary fractions
+T0S = (0.0, 1_400_000_000.0, 1_399_999_999.7)
+LENGTHS = (0.1, 0.3, 1.0, 7.5, 5 * 86400.0)
+
+
+@st.composite
+def timed_histories(draw, max_commits=40):
+    """(history, length): a history whose first commit is at t0 and whose
+    others sit on window bounds t0 + k*length (often tied) or anywhere in
+    the first dozen windows, by one to five authors."""
+    t0 = draw(st.sampled_from(T0S))
+    length = draw(st.sampled_from(LENGTHS))
+    n_authors = draw(st.integers(1, 5))
+    offsets = st.one_of(st.integers(0, 12).map(lambda k: k * length),
+                        st.floats(0, 12 * length))
+    specs = draw(st.lists(st.tuples(st.integers(0, n_authors - 1), offsets),
+                          min_size=1, max_size=max_commits))
+    specs[0] = (specs[0][0], 0.0)
+    commits = [make_commit(f"h{i}", f"dev{a}@x", t0 + off, added=i % 7)
+               for i, (a, off) in enumerate(specs)]
+    return ProjectHistory.build("timed", commits), length
+
+
+def productions_for(history):
+    """Per-commit productions for ``history``: floats, or None where the
+    measure is unavailable."""
+    value = st.one_of(st.none(), st.sampled_from([0.0, 0.1, 1.0, 3.0]),
+                      st.floats(0, 1e6))
+    return st.lists(value, min_size=len(history), max_size=len(history))
 
 
 @pytest.fixture

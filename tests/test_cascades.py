@@ -1,10 +1,14 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
 from scalemetrics.cascades import branching_ratio, default_tau, detect_cascades
 from scalemetrics.errors import InsufficientDataError
 from scalemetrics.simulate import BranchingModel, simulate_branching_stream
 
-from conftest import make_history
+from conftest import make_history, timed_histories
 
 
 def history_at(times):
@@ -93,3 +97,25 @@ def test_stats_json_schema():
     js = stats.to_json()
     assert set(js) == {"tau", "cascades", "events", "eta_hat", "sizes"}
     assert js["sizes"] == {"1": 1, "3": 1}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_cascades_match_loop_oracle(data):
+    h, length = data.draw(timed_histories())
+    try:
+        expected_tau = oracle.loop_default_tau(h)
+    except InsufficientDataError:
+        with pytest.raises(InsufficientDataError):
+            default_tau(h)
+    else:
+        assert default_tau(h) == expected_tau
+    # thresholds equal to an actual gap test the strict "gap > tau"
+    gaps = np.diff([c.timestamp for c in h.commits]).tolist()
+    tau = data.draw(st.sampled_from([g for g in gaps if g > 0] + [length, 1e-9]))
+    groups = oracle.loop_cascade_groups(h, tau)
+    assert ([c.commit_ids for c in detect_cascades(h, tau)]
+            == [tuple(c.commit_id for c in g) for g in groups])
+    stats = branching_ratio(h, tau)
+    assert stats.size_distribution == oracle.loop_cascade_size_distribution(h, tau)
+    assert stats.cascade_count == len(groups)

@@ -91,13 +91,68 @@ def test_window_nan_is_usage_error(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "compare"])
+@pytest.mark.parametrize("flags", [
+    ["--quantile", "1.5"], ["--quantile", "0"], ["--quantile", "nan"],
+    ["--tau", "nan"], ["--tau", "inf"], ["--tau", "0"], ["--tau", "-5"],
+    ["--bins-per-decade", "-1"],
+])
+def test_out_of_range_analysis_flag_is_usage_error(command, flags, tmp_path, capsys):
+    src = tmp_path / "h.jsonl"
+    src.write_text("".join(f'{{"id": "c{i}", "email": "a@x", "ts": {i * 1000}}}\n'
+                           for i in range(10)))
+    target = str(src if command == "analyze" else tmp_path)
+    assert main([command, target, "-o", str(tmp_path / "out"), *flags]) == 1
+    assert flags[0] in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _run_limited(argv, cwd):
+    """``scalemetrics`` in a child process limited to 1 GiB of address
+    space and 60 s, so that a runaway window count fails the test instead
+    of exhausting the host."""
+    src = str(Path(scalemetrics.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
+
+    def limit():
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run([sys.executable, "-m", "scalemetrics.cli", *argv],
+                          cwd=cwd, env=env, preexec_fn=limit, timeout=60,
+                          capture_output=True, text=True)
+
+
+def test_tiny_window_keeps_only_nonempty_windows(tmp_path):
+    src = tmp_path / "two.jsonl"
+    src.write_text('{"id": "a", "email": "a@x", "ts": 1000}\n'
+                   '{"id": "b", "email": "b@x", "ts": 2000}\n')
+    run = _run_limited(["analyze", str(src), "-o", "out", "--window", "1e-6s"],
+                       tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert "Traceback" not in run.stderr
+    rows = (tmp_path / "out" / "observations.csv").read_text().splitlines()
+    assert len(rows) == 1 + 2
+
+
+def test_huge_timestamp_is_a_data_error(tmp_path):
+    src = tmp_path / "huge.jsonl"
+    src.write_text('{"id": "a", "email": "a@x", "ts": 0}\n'
+                   '{"id": "b", "email": "a@x", "ts": 1e300}\n')
+    run = _run_limited(["analyze", str(src), "-o", "out"], tmp_path)
+    assert run.returncode == 2, run.stderr
+    assert "Traceback" not in run.stderr
+    assert "2**53 windows" in run.stderr
+
+
 def test_cli_import_loads_no_scipy():
     src = str(Path(scalemetrics.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, scalemetrics.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+                         capture_output=True, text=True, timeout=60).stdout
     assert out.strip() == "[]"
 
 

@@ -3,11 +3,15 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scalemetrics.cli import main
 from scalemetrics.errors import ConfigError, ParseError
 from scalemetrics.ingest import (
     AuthorId,
+    CommitRecord,
+    ProjectHistory,
     parse_commit_log,
     parse_jsonl,
     resolve_authors,
@@ -15,6 +19,7 @@ from scalemetrics.ingest import (
 )
 
 from conftest import make_history, random_history
+from oracle import loop_resolve_authors
 
 
 def log_entry(cid, email, ts, rows=(), parents=1, name="Dev"):
@@ -217,3 +222,50 @@ def test_drop_authors_removes_bots():
     h = make_history([("bot@ci", 1), ("dev@x", 2)])
     resolved = resolve_authors(h, drop_authors=["bot@ci"])
     assert [c.author.canonical_key for c in resolved.commits] == ["dev@x"]
+
+
+_KEYS = ["a@x", "b@x", "c@x", "ann", "bob", "old@x", "new@y", "bot@ci"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["", "a@x", " A@X", "b@x", "old@x", "bot@ci"]),
+                          st.sampled_from(["", "Ann", "bob"]),
+                          st.integers(0, 50)), min_size=1, max_size=30),
+       st.dictionaries(st.sampled_from(_KEYS), st.sampled_from(_KEYS), max_size=3),
+       st.lists(st.sampled_from(["bot@ci", "c@x", "new@y", "ann"]), max_size=2))
+def test_resolve_authors_matches_loop_oracle(rows, alias_map, drop):
+    commits = [CommitRecord(f"c{i}", AuthorId.from_raw(email, name), float(ts), 1, 0,
+                            raw_email=email, raw_name=name)
+               for i, (email, name, ts) in enumerate(rows) if email or name]
+    h = ProjectHistory.build("h", commits)
+    try:
+        expected = loop_resolve_authors(h, alias_map, drop)
+    except ConfigError:
+        with pytest.raises(ConfigError):
+            resolve_authors(h, alias_map, drop)
+        return
+    resolved = resolve_authors(h, alias_map, drop)
+    assert resolved.commits == expected.commits
+    before = {c.commit_id: c for c in h.commits}
+    for after in resolved.commits:
+        if after.author == before[after.commit_id].author:
+            assert after is before[after.commit_id]
+
+
+def test_resolve_authors_returns_unaliased_records_themselves(rng):
+    h = random_history(rng, n_commits=200, n_authors=12)
+    resolved = resolve_authors(h)
+    assert all(a is b for a, b in zip(resolved.commits, h.commits))
+    aliased = resolve_authors(h, alias_map={"dev0@x": "dev1@x"})
+    for before, after in zip(h.commits, aliased.commits):
+        assert (after is before) == (before.raw_email != "dev0@x")
+
+
+def test_parsers_share_one_author_id_per_author():
+    emails = ["a@x", "A@X", "b@x", "a@x", " a@x ", "b@x"]
+    jsonl = "".join(json.dumps({"id": f"c{i}", "email": e, "ts": i}) + "\n"
+                    for i, e in enumerate(emails))
+    log = "".join(log_entry(f"c{i}", e, i, rows=[(1, 0, "f")])
+                  for i, e in enumerate(emails))
+    for h in (parse_jsonl(jsonl), parse_commit_log(log)):
+        assert len({id(c.author) for c in h.commits}) == len(h.authors) == 2

@@ -11,13 +11,25 @@ from scalemetrics.metrics import (
     commit_production,
     levenshtein_distance,
     observations_to_csv,
+    series_observations,
     window_observations,
     window_observations_with_coverage,
 )
-from scalemetrics.windows import DAY, FixedWindow, QuantileWindow
+from scalemetrics.windows import DAY, FixedWindow, QuantileWindow, team_windows
 
-from conftest import make_commit, make_history, random_history, random_payload_history
-from oracle import per_pass_window_observations, two_row_levenshtein
+from conftest import (
+    make_commit,
+    make_history,
+    productions_for,
+    random_history,
+    random_payload_history,
+    timed_histories,
+)
+from oracle import (
+    loop_series_observations,
+    per_pass_window_observations,
+    two_row_levenshtein,
+)
 
 # a small byte alphabet keeps distances well below the maximum
 _few_bytes = st.lists(st.sampled_from(b"ab\xc3\xa9\xff"), max_size=300).map(bytes)
@@ -191,3 +203,12 @@ def test_observations_csv_shape():
     lines = csv.strip().splitlines()
     assert lines[0] == "start_ts,end_ts,n,measure,production"
     assert lines[1].endswith("commits,2")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_series_observations_match_loop_oracle(data):
+    h, length = data.draw(timed_histories())
+    productions = data.draw(productions_for(h))
+    assert (series_observations(team_windows(h, length), productions)
+            == loop_series_observations(h, length, productions))

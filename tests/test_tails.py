@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scalemetrics.errors import DegenerateDataError, InsufficientDataError
 from scalemetrics.metrics import ProductionMeasure
@@ -15,7 +17,8 @@ from scalemetrics.tails import (
 )
 from scalemetrics.tails import _candidate_cutoffs, _ks_best_fit
 
-from conftest import make_history
+from conftest import make_history, productions_for, timed_histories
+from oracle import loop_author_totals
 
 
 def dist(values):
@@ -184,3 +187,19 @@ def test_distribution_from_history():
     assert sorted(d.values) == [1.0, 2.0]
     d2 = ContributionDistribution.from_history(h, ProductionMeasure.LOC_ADDED)
     assert sorted(d2.values) == [3.0, 10.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_author_totals_match_loop_oracle(data):
+    h, _ = data.draw(timed_histories())
+    productions = data.draw(productions_for(h))
+    try:
+        expected = loop_author_totals(h, productions)
+    except InsufficientDataError:
+        with pytest.raises(InsufficientDataError):
+            ContributionDistribution.from_productions(h, productions, None)
+    else:
+        # in the order of each author's first available commit
+        assert (ContributionDistribution.from_productions(h, productions, None).values
+                == expected)

@@ -1,8 +1,11 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from scalemetrics.errors import InsufficientDataError
+import oracle
+from scalemetrics.errors import DegenerateDataError, InsufficientDataError
 from scalemetrics.windows import (
     DAY,
     FixedWindow,
@@ -10,10 +13,11 @@ from scalemetrics.windows import (
     active_team_series,
     inter_commit_quantile,
     single_commit_share,
+    team_windows,
     windows_to_csv,
 )
 
-from conftest import make_history, random_history
+from conftest import make_history, random_history, timed_histories
 
 
 def test_quantile_single_gap():
@@ -118,3 +122,67 @@ def test_windows_csv_shape():
     lines = csv.strip().splitlines()
     assert lines[0] == "start_ts,end_ts,n,commits"
     assert len(lines) == 4
+
+
+def _sparse_rows(team):
+    return list(zip(team.start_ts.tolist(), team.end_ts.tolist(),
+                    team.n.tolist(), team.commit_count.tolist()))
+
+
+_ONE_COMMIT = (make_history([("a@x", 1.4e9)]), 0.1)
+# one author, tied commits on the bounds t0 + k*0.3 of an epoch-sized t0
+_ONE_AUTHOR = (make_history([("a@x", 1.4e9 + k * 0.3) for k in (0, 0, 1, 3, 3, 7)]), 0.3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(timed_histories())
+@example(_ONE_COMMIT)
+@example(_ONE_AUTHOR)
+def test_windows_match_loop_oracle(case):
+    h, length = case
+    dense = oracle.loop_active_team_series(h, FixedWindow(length))
+    assert active_team_series(h, FixedWindow(length)) == dense
+    team = team_windows(h, length)
+    assert team.count == len(dense)
+    assert _sparse_rows(team) == [(w.start_ts, w.end_ts, w.n, w.commit_count)
+                                  for w in dense if w.n > 0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(timed_histories(), st.sampled_from([0.05, 0.1, 0.5, 0.9, 0.99]))
+@example(_ONE_COMMIT, 0.9)
+@example(_ONE_AUTHOR, 0.5)
+def test_quantile_and_share_match_loop_oracle(case, q):
+    h, _ = case
+    try:
+        expected = oracle.loop_inter_commit_quantile(h, q)
+    except InsufficientDataError:
+        with pytest.raises(InsufficientDataError):
+            inter_commit_quantile(h, q)
+    else:
+        assert inter_commit_quantile(h, q) == expected
+        span = h.commits[-1].timestamp - h.commits[0].timestamp
+        if expected > 0 and span / expected < 1000:  # a dense series of a size to list
+            assert (active_team_series(h, QuantileWindow(q))
+                    == oracle.loop_active_team_series(h, QuantileWindow(q)))
+    assert single_commit_share(h) == oracle.loop_single_commit_share(h)
+    assert (list(h.commits_per_author().items())
+            == list(oracle.loop_commits_per_author(h).items()))
+
+
+def test_windows_keep_only_nonempty():
+    h = make_history([("a@x", 1000), ("b@x", 2000)])
+    team = team_windows(h, 1e-6)
+    assert team.count == 10**9 + 1
+    assert team.index.tolist() == [0, 10**9]
+    assert team.n.tolist() == [1, 1]
+
+
+def test_window_count_bound_is_two_to_the_53():
+    at_bound = make_history([("a@x", 0), ("b@x", 2**53 - 1)])
+    assert team_windows(at_bound, 1.0).count == 2**53
+    past = make_history([("a@x", 0), ("b@x", 2**53)])
+    with pytest.raises(DegenerateDataError):
+        team_windows(past, 1.0)
+    with pytest.raises(DegenerateDataError):
+        team_windows(make_history([("a@x", 0), ("b@x", 1e300)]), 5 * DAY)
