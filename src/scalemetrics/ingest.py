@@ -115,12 +115,11 @@ class ProjectHistory:
     def build(cls, project_name, commits):
         """Sort commits by timestamp and check commit-id uniqueness."""
         commits = tuple(sorted(commits, key=attrgetter("timestamp", "commit_id")))
-        if len({c.commit_id for c in commits}) < len(commits):
-            seen = set()
-            for c in commits:
-                if c.commit_id in seen:
-                    raise ParseError(f"duplicate commit id {c.commit_id!r}")
-                seen.add(c.commit_id)
+        seen = set()
+        for c in commits:
+            if c.commit_id in seen:
+                raise ParseError(f"duplicate commit id {c.commit_id!r}")
+            seen.add(c.commit_id)
         return cls(project_name, commits)
 
     def __len__(self):

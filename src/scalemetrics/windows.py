@@ -118,6 +118,8 @@ class TeamWindows:
     Window ``index[j]`` covers [t0 + index[j]*length, t0 + (index[j]+1)*length)
     and holds ``n[j]`` active authors and ``commit_count[j]`` commits.
     ``slot[i]`` is the position in these arrays of commit i's window.
+    ``members`` holds the author codes active in each window, sorted, the
+    first ``n[0]`` for window 0, the next ``n[1]`` for window 1 and so on.
     ``count`` is the number of windows in the dense series, empty ones
     included.
     """
@@ -129,6 +131,7 @@ class TeamWindows:
     n: np.ndarray
     commit_count: np.ndarray
     slot: np.ndarray
+    members: np.ndarray
 
     @property
     def start_ts(self):
@@ -158,20 +161,20 @@ def team_windows(history, length):
     window = np.minimum((ts - t0) // length, count - 1).astype(np.int64)
     index, slot, commit_count = np.unique(window, return_inverse=True,
                                           return_counts=True)
+    # the distinct (window, author) pairs, grouped by window
     pairs = np.unique(slot * len(authors) + author)
     n = np.bincount(pairs // len(authors), minlength=len(index))
-    return TeamWindows(t0, float(length), count, index, n, commit_count, slot)
+    return TeamWindows(t0, float(length), count, index, n, commit_count, slot,
+                       pairs % len(authors))
 
 
 def active_team_series(history, definition):
     """Tumbling windows covering [first_ts, last_ts], anchored at first_ts,
     empty windows included."""
     team = team_windows(history, resolve_window_length(history, definition))
-    _, author, authors = history.columns
-    # the distinct (window, author) pairs, grouped by window
-    pairs = np.unique(team.slot * len(authors) + author) % len(authors)
+    authors = history.columns.authors
     members = [frozenset(map(authors.__getitem__, codes.tolist()))
-               for codes in np.split(pairs, np.cumsum(team.n)[:-1])]
+               for codes in np.split(team.members, np.cumsum(team.n)[:-1])]
     filled = dict(zip(team.index.tolist(), zip(members, team.commit_count.tolist())))
     empty = (frozenset(), 0)
     t0, length = team.t0, team.length
