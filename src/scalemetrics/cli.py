@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import cascades, ingest, scaling, simulate
 from .errors import ConfigError, ScaleMetricsError
-from .metrics import ProductionMeasure, observations_to_csv
+from .metrics import ProductionMeasure, csv_number, observations_to_csv
 from .windows import DAY, FixedWindow
 
 DEFAULT_SEED = 42
@@ -166,7 +166,8 @@ def cmd_analyze(args):
         observations_to_csv(obs, measure), encoding="utf-8"
     )
     binned = scaling.log_bin(obs, args.bins_per_decade or 5)
-    lines = ["n_mean,production_mean"] + [f"{n:g},{p:g}" for n, p in binned]
+    lines = ["n_mean,production_mean"] + [f"{csv_number(n)},{csv_number(p)}"
+                                        for n, p in binned]
     (outdir / "binned.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     if args.format == "json":
         sys.stdout.write(_json_dumps(bundle))

@@ -19,9 +19,15 @@ Two input formats are supported:
 Merge commits (parent_count >= 2) carry no numstat deltas and are excluded
 by default; pass ``include_merges=True`` to keep them.
 
-The parsers give each distinct author one shared :class:`AuthorId` object,
-looked up once per distinct raw (email, name). The :class:`CommitRecord` rows of a
-:class:`ProjectHistory` are its source of truth; the analyses read its
+Both parsers, and the simulators in :mod:`scalemetrics.simulate`, make every
+:class:`CommitRecord` through one constructor, which gives each distinct
+author one shared :class:`AuthorId` object, looked up once per distinct raw
+(email, name), and reports a field the record refuses as a line-numbered
+:class:`ParseError`. :meth:`AuthorId.normalize` is the one rule that turns a
+raw identity into a canonical key. A load sorts and id-checks its history
+once, in :meth:`ProjectHistory.build`; :func:`resolve_authors` keeps the
+order it is given. The :class:`CommitRecord` rows of a :class:`ProjectHistory`
+are its source of truth; the analyses read its
 :attr:`~ProjectHistory.columns`, a columnar index built once on first use.
 """
 
@@ -60,10 +66,15 @@ class AuthorId:
         if not self.canonical_key:
             raise ValueError("author identity must be non-empty")
 
+    @staticmethod
+    def normalize(email, name=""):
+        """The canonical key of a raw identity: the trimmed, lowercased email,
+        else the trimmed, lowercased name; "" when both are blank."""
+        return (email or "").strip().lower() or (name or "").strip().lower()
+
     @classmethod
     def from_raw(cls, email, name):
-        key = (email or "").strip().lower() or (name or "").strip().lower()
-        return cls(key)
+        return cls(cls.normalize(email, name))
 
 
 @dataclass(frozen=True)
@@ -140,15 +151,38 @@ class ProjectHistory:
         return dict(zip(cols.authors, np.bincount(cols.author).tolist()))
 
 
-def _shared_author(authors, email, name):
-    """The one AuthorId of the author a raw (email, name) pair normalises
-    to; ValueError for an empty identity. ``authors`` caches it under both
-    the raw pair and the canonical key."""
-    author = authors.get((email, name))
-    if author is None:
-        author = AuthorId.from_raw(email, name)
-        author = authors[email, name] = authors.setdefault(author.canonical_key, author)
-    return author
+def _record(authors, line_no, commit_id, email, name, ts, added, deleted,
+            parents=1, payload=None):
+    """The one way a :class:`CommitRecord` is made. ``authors`` caches the
+    one AuthorId of each author of a history under both its raw (email, name)
+    pair and its canonical key; a field the record refuses (an empty
+    identity, a bad timestamp or count) is a ParseError on ``line_no``."""
+    try:
+        author = authors.get((email, name))
+        if author is None:
+            author = AuthorId.from_raw(email, name)
+            author = authors[email, name] = authors.setdefault(author.canonical_key,
+                                                               author)
+        return CommitRecord(commit_id, author, float(ts), added, deleted, email,
+                            name, parents, payload)
+    except (ValueError, OverflowError) as exc:  # float() of a huge integer
+        raise ParseError(str(exc), line=line_no) from None
+
+
+def _build(project_name, commits, line_nos):
+    """:meth:`ProjectHistory.build` of parsed records, ``line_nos[i]`` being
+    the line of ``commits[i]``; a duplicate id is a ParseError on the line of
+    its second record."""
+    try:
+        return ProjectHistory.build(project_name, commits)
+    except ParseError:
+        seen = set()
+        for c, line_no in zip(commits, line_nos):
+            if c.commit_id in seen:
+                raise ParseError(f"duplicate commit id {c.commit_id!r}",
+                                 line=line_no) from None
+            seen.add(c.commit_id)
+        raise
 
 
 def _parse_numstat_field(raw, line_no):
@@ -165,7 +199,7 @@ def _parse_numstat_field(raw, line_no):
 
 def parse_commit_log(text, project_name="project", include_merges=False):
     """Parse the pinned pipe-delimited commit-log format."""
-    commits = []
+    commits, line_nos = [], []
     authors = {}
     lines = text.splitlines()
     i = 0
@@ -197,22 +231,10 @@ def parse_commit_log(text, project_name="project", include_merges=False):
             i += 1
         if parents >= 2 and not include_merges:
             continue
-        try:
-            commits.append(
-                CommitRecord(
-                    commit_id=commit_id,
-                    author=_shared_author(authors, email, name),
-                    timestamp=ts,
-                    lines_added=added,
-                    lines_deleted=deleted,
-                    raw_email=email,
-                    raw_name=name,
-                    parent_count=parents,
-                )
-            )
-        except ValueError as exc:
-            raise ParseError(str(exc), line=header_no) from None
-    return ProjectHistory.build(project_name, commits)
+        commits.append(_record(authors, header_no, commit_id, email, name, ts,
+                               added, deleted, parents))
+        line_nos.append(header_no)
+    return _build(project_name, commits, line_nos)
 
 
 def _parse_payload(files, line_no):
@@ -238,7 +260,7 @@ _FIELD_TYPES = {"id": (str,), "email": (str, type(None)), "name": (str, type(Non
 
 def parse_jsonl(text, project_name="project", include_merges=False):
     """Parse the JSONL commit format."""
-    commits = []
+    commits, line_nos = [], []
     authors = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -257,25 +279,11 @@ def parse_jsonl(text, project_name="project", include_merges=False):
         parents = obj.get("parents", 1)
         if parents >= 2 and not include_merges:
             continue
-        email = obj.get("email") or ""
-        name = obj.get("name") or ""
-        try:
-            commits.append(
-                CommitRecord(
-                    commit_id=obj["id"],
-                    author=_shared_author(authors, email, name),
-                    timestamp=float(obj["ts"]),
-                    lines_added=obj.get("added", 0),
-                    lines_deleted=obj.get("deleted", 0),
-                    raw_email=email,
-                    raw_name=name,
-                    parent_count=parents,
-                    diff_payload=payload,
-                )
-            )
-        except (ValueError, OverflowError) as exc:  # float() of a huge integer
-            raise ParseError(str(exc), line=line_no) from None
-    return ProjectHistory.build(project_name, commits)
+        commits.append(_record(authors, line_no, obj["id"], obj.get("email") or "",
+                               obj.get("name") or "", obj["ts"], obj.get("added", 0),
+                               obj.get("deleted", 0), parents, payload))
+        line_nos.append(line_no)
+    return _build(project_name, commits, line_nos)
 
 
 def write_jsonl(history):
@@ -288,7 +296,7 @@ def write_jsonl(history):
     out = []
     for c in history.commits:
         email = c.raw_email
-        if not email or _raw_key(c) != c.author.canonical_key:
+        if not email or AuthorId.normalize(email, c.raw_name) != c.author.canonical_key:
             email = c.author.canonical_key
         obj = {
             "id": c.commit_id,
@@ -306,18 +314,12 @@ def write_jsonl(history):
     return "\n".join(out) + ("\n" if out else "")
 
 
-def _raw_key(commit):
-    """The author key the commit's raw email (name fallback) normalises to."""
-    return ((commit.raw_email or "").strip().lower()
-            or (commit.raw_name or "").strip().lower())
-
-
 def _normalize_alias_map(alias_map):
     """Lowercase/trim keys and values; reject cycles."""
     normalized = {}
     for raw_key, raw_val in alias_map.items():
-        key = str(raw_key).strip().lower()
-        val = str(raw_val).strip().lower()
+        key = AuthorId.normalize(str(raw_key))
+        val = AuthorId.normalize(str(raw_val))
         if not key or not val:
             raise ConfigError(f"empty alias entry {raw_key!r} -> {raw_val!r}")
         normalized[key] = val
@@ -338,10 +340,11 @@ def resolve_authors(history, alias_map=None, drop_authors=()):
     ``alias_map`` maps a raw identity (email or name, matched after
     trim/lowercase) to its canonical replacement; chains are followed.
     ``drop_authors`` is a deny-list of canonical keys (e.g. bots) whose
-    commits are removed.
+    commits are removed. The kept records stay in the history's order:
+    dropping and relabelling records cannot unsort it or duplicate an id.
     """
     aliases = _normalize_alias_map(alias_map or {})
-    drop = {str(a).strip().lower() for a in drop_authors}
+    drop = {AuthorId.normalize(str(a)) for a in drop_authors}
     resolved = {}  # (raw_email, raw_name, key) -> AuthorId, None if dropped
     shared = {}  # resolved key -> its one AuthorId
     commits = []
@@ -349,7 +352,7 @@ def resolve_authors(history, alias_map=None, drop_authors=()):
         current = c.author.canonical_key
         identity = (c.raw_email, c.raw_name, current)
         if identity not in resolved:
-            key = _raw_key(c) or current
+            key = AuthorId.normalize(c.raw_email, c.raw_name) or current
             while key in aliases:
                 key = aliases[key]
             resolved[identity] = None if key in drop else shared.setdefault(
@@ -360,4 +363,4 @@ def resolve_authors(history, alias_map=None, drop_authors=()):
         # a record whose key is unchanged is kept as it is
         commits.append(c if author.canonical_key == current
                        else replace(c, author=author))
-    return ProjectHistory.build(history.project_name, commits)
+    return ProjectHistory(history.project_name, tuple(commits))

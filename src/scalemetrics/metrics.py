@@ -45,6 +45,7 @@ __all__ = [
     "window_observations",
     "window_observations_with_coverage",
     "observations_to_csv",
+    "csv_number",
 ]
 
 
@@ -194,10 +195,16 @@ def window_observations(history, definition, measure, size_cap=DEFAULT_SIZE_CAP)
     return obs
 
 
+def csv_number(x):
+    """``x`` as a CSV cell that reads back exactly: an integral value as an
+    integer, any other by ``repr``."""
+    x = float(x)
+    return str(int(x)) if x.is_integer() else repr(x)
+
+
 def observations_to_csv(observations, measure):
     lines = ["start_ts,end_ts,n,measure,production"]
     for o in observations:
-        lines.append(
-            f"{o.start_ts:g},{o.end_ts:g},{o.n},{measure.value},{o.production:g}"
-        )
+        lines.append(f"{csv_number(o.start_ts)},{csv_number(o.end_ts)},{o.n},"
+                     f"{measure.value},{csv_number(o.production)}")
     return "\n".join(lines) + "\n"

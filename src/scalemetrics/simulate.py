@@ -11,6 +11,10 @@
   participation) that emit the same history objects the ingest module
   produces, closing the loop for end-to-end tests.
 
+All three history generators make their commits through the parsers' one
+record constructor (one shared :class:`~scalemetrics.ingest.AuthorId` per
+author) and build each history once.
+
 All generators take an integer seed; trials and windows draw from RNG
 streams derived from (seed, task index) so results do not depend on
 execution order.
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import AuthorId, CommitRecord, ProjectHistory
+from .ingest import ProjectHistory, _record
 from .scaling import ols
 from .windows import DAY
 
@@ -195,25 +199,21 @@ def simulate_branching_stream(model, participants, participation_mu,
     weights = (1.0 - rng.random(participants)) ** (-1.0 / participation_mu)
     probs = weights / weights.sum()
     authors = rng.choice(participants, size=len(times), p=probs)
-    commits = [
-        CommitRecord(
-            commit_id=f"sim-{i:07d}",
-            author=AuthorId(f"dev{a}@sim"),
-            timestamp=float(t),
-            lines_added=1,
-            lines_deleted=0,
-            raw_email=f"dev{a}@sim",
-            raw_name=f"dev {a}",
-        )
-        for i, (t, a) in enumerate(zip(times, authors))
-    ]
-    history = ProjectHistory.build(project_name, commits)
     return BranchingStreamResult(
-        history=history,
+        history=_sim_history(project_name, "sim", times, authors.tolist()),
         immigrants=int(n_imm),
         events=len(times),
         truncated=truncated,
     )
+
+
+def _sim_history(project_name, prefix, times, authors):
+    """History of one-line commits ``{prefix}-{i:07d}`` at ``times[i]`` by
+    author ``dev{authors[i]}@sim``; commit i is line i + 1 of its JSONL."""
+    shared = {}
+    return ProjectHistory.build(project_name, [
+        _record(shared, i + 1, f"{prefix}-{i:07d}", f"dev{a}@sim", f"dev {a}", t, 1, 0)
+        for i, (t, a) in enumerate(zip(times, authors))])
 
 
 def _window_commits(window_idx, window_length, count, rng, first_window):
@@ -238,8 +238,7 @@ def simulate_zipf_growth(N, alpha, max_n=None, window_length=5 * DAY, seed=42,
     if max_n is None:
         max_n = max_team_size(N, alpha)
     ZipfTeamModel(N=N, alpha=alpha, n=max_n)  # validate parameters
-    commits = []
-    cid = 0
+    times, members = [], []
     for w in range(1, max_n + 1):
         rng = np.random.default_rng([seed, w])
         per_member = np.maximum(
@@ -248,20 +247,9 @@ def simulate_zipf_growth(N, alpha, max_n=None, window_length=5 * DAY, seed=42,
         authors = np.repeat(np.arange(1, w + 1), per_member)
         ts = _window_commits(w - 1, window_length, len(authors), rng, w == 1)
         rng.shuffle(authors)
-        for t, j in zip(ts, authors):
-            commits.append(
-                CommitRecord(
-                    commit_id=f"zipf-{cid:07d}",
-                    author=AuthorId(f"dev{j}@sim"),
-                    timestamp=float(t),
-                    lines_added=1,
-                    lines_deleted=0,
-                    raw_email=f"dev{j}@sim",
-                    raw_name=f"dev {j}",
-                )
-            )
-            cid += 1
-    return ProjectHistory.build(project_name, commits)
+        times += ts.tolist()
+        members += authors.tolist()
+    return _sim_history(project_name, "zipf", times, members)
 
 
 def simulate_heavy_tail_participation(mu, n_windows=60, min_events=5,
@@ -286,23 +274,10 @@ def simulate_heavy_tail_participation(mu, n_windows=60, min_events=5,
     ranks = np.arange(1, pool + 1, dtype=float)
     probs = ranks ** (-1.0 / mu)
     probs /= probs.sum()
-    commits = []
-    cid = 0
+    times, members = [], []
     for w, count in enumerate(counts[order]):
         rng = np.random.default_rng([seed, w + 1])
         ts = _window_commits(w, window_length, int(count), rng, w == 0)
-        authors = rng.choice(pool, size=int(count), p=probs)
-        for t, a in zip(ts, authors):
-            commits.append(
-                CommitRecord(
-                    commit_id=f"ht-{cid:07d}",
-                    author=AuthorId(f"dev{a}@sim"),
-                    timestamp=float(t),
-                    lines_added=1,
-                    lines_deleted=0,
-                    raw_email=f"dev{a}@sim",
-                    raw_name=f"dev {a}",
-                )
-            )
-            cid += 1
-    return ProjectHistory.build(project_name, commits)
+        times += ts.tolist()
+        members += rng.choice(pool, size=int(count), p=probs).tolist()
+    return _sim_history(project_name, "ht", times, members)

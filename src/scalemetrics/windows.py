@@ -35,7 +35,6 @@ __all__ = [
     "team_windows",
     "active_team_series",
     "single_commit_share",
-    "windows_to_csv",
 ]
 
 
@@ -188,10 +187,3 @@ def single_commit_share(history):
         raise InsufficientDataError("history has no commits")
     singles = np.count_nonzero(np.bincount(history.columns.author) == 1)
     return int(singles) / len(history)
-
-
-def windows_to_csv(series):
-    lines = ["start_ts,end_ts,n,commits"]
-    for w in series:
-        lines.append(f"{w.start_ts:g},{w.end_ts:g},{w.n},{w.commit_count}")
-    return "\n".join(lines) + "\n"

@@ -17,7 +17,7 @@ from scalemetrics.errors import (
     InsufficientDataError,
     MeasureUnavailableError,
 )
-from scalemetrics.ingest import AuthorId, ProjectHistory, _normalize_alias_map, _raw_key
+from scalemetrics.ingest import AuthorId, ProjectHistory, _normalize_alias_map
 from scalemetrics.metrics import WindowObservation, commit_production
 from scalemetrics.windows import ActivityWindow, FixedWindow, QuantileWindow
 
@@ -193,13 +193,20 @@ def loop_cascade_size_distribution(history, tau):
     return tuple(sorted(sizes.items()))
 
 
+def raw_key(commit):
+    """The author key the commit's raw email (name fallback) normalises to;
+    a copy of the rule in ``AuthorId``, so the oracle does not share it."""
+    return ((commit.raw_email or "").strip().lower()
+            or (commit.raw_name or "").strip().lower())
+
+
 def loop_resolve_authors(history, alias_map=None, drop_authors=()):
     """A new record with a new AuthorId for every kept commit."""
     aliases = _normalize_alias_map(alias_map or {})
     drop = {str(a).strip().lower() for a in drop_authors}
     commits = []
     for c in history.commits:
-        key = _raw_key(c) or c.author.canonical_key
+        key = raw_key(c) or c.author.canonical_key
         while key in aliases:
             key = aliases[key]
         if key in drop:

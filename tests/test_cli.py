@@ -9,8 +9,10 @@ import jsonschema
 import pytest
 
 import scalemetrics
+from scalemetrics import cli, ingest
 from scalemetrics.cli import main, parse_duration
 from scalemetrics.errors import ConfigError
+from scalemetrics.metrics import csv_number
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -237,6 +239,48 @@ def test_ingest_persists_alias_resolution(tmp_path, capsys):
     assert twice.read_text() == once.read_text()
     # the unaliased commit keeps its raw email bytes
     assert json.loads(once.read_text().splitlines()[1])["email"] == "New@X"
+
+
+def test_load_history_builds_once_per_file(tmp_path, monkeypatch):
+    builds = []
+    build = ingest.ProjectHistory.build.__func__
+
+    def counting_build(cls, project_name, commits):
+        builds.append(project_name)
+        return build(cls, project_name, commits)
+
+    monkeypatch.setattr(ingest.ProjectHistory, "build", classmethod(counting_build))
+    log = tmp_path / "h.log"
+    log.write_text("C|a|b@x|B|2|1\n1\t0\tf\n\nC|b|Old@X|O|1|1\n\nC|m|c@x|C|3|2\n\n")
+    jsonl = tmp_path / "h.jsonl"
+    jsonl.write_text('{"id": "a", "email": "b@x", "ts": 2}\n'
+                     '{"id": "b", "email": "old@x", "ts": 1}\n')
+    for path in (log, jsonl):
+        for alias_map, drop in [(None, ()), ({"old@x": "b@x"}, ["c@x"])]:
+            history = cli._load_history(path, alias_map=alias_map, drop_authors=drop)
+            assert builds == ["h"]
+            assert [c.commit_id for c in history.commits] == ["b", "a"]
+            assert len(history.authors) == (1 if alias_map else 2)
+            builds.clear()
+
+
+def test_analyze_csv_values_are_exact(tmp_path):
+    # 40 hourly commits at epoch-sized times with seven-digit productions
+    src = tmp_path / "hourly.jsonl"
+    src.write_text("".join(json.dumps({"id": f"c{i}", "email": "a@x",
+                                       "ts": 1_400_000_000 + 3600 * i,
+                                       "added": 1_234_567 + i}) + "\n"
+                           for i in range(40)))
+    out = tmp_path / "out"
+    assert main(["analyze", str(src), "-o", str(out), "--window", "1h",
+                 "--measure", "loc-added"]) == 0
+    rows = [f"{1_400_000_000 + 3600 * i},{1_400_003_600 + 3600 * i},1,loc-added,"
+            f"{1_234_567 + i}" for i in range(40)]
+    assert (out / "observations.csv").read_text() == "\n".join(
+        ["start_ts,end_ts,n,measure,production", *rows, ""])
+    assert (out / "binned.csv").read_text() == "n_mean,production_mean\n1,1234586.5\n"
+    for x in (0.1 + 0.2, 1 / 3, 1e-7, 2.5e20, 1_400_000_000.25):
+        assert float(csv_number(x)) == x
 
 
 def test_analyze_computes_each_edit_distance_once(tmp_path, monkeypatch):

@@ -92,10 +92,95 @@ def test_malformed_header_reports_line_number():
     assert "line 4" in str(exc.value)
 
 
-def test_duplicate_commit_id_rejected():
-    text = log_entry("dup", "a@x", 1) + log_entry("dup", "b@x", 2)
-    with pytest.raises(ParseError):
-        parse_commit_log(text)
+def test_duplicate_commit_id_rejected(tmp_path, capsys):
+    # each parser names the line of the id's second record
+    log = log_entry("dup", "a@x", 1) + log_entry("dup", "b@x", 2)
+    jsonl = ('{"id": "a", "email": "a@x", "ts": 2}\n{"id": "b", "email": "a@x", "ts": 1}\n'
+             '\n{"id": "a", "email": "b@x", "ts": 0}\n{"id": "a", "email": "c@x", "ts": 3}\n')
+    for parse, text, line in [(parse_commit_log, log, 3),
+                              (parse_commit_log, "C|0||0|0|0\n\nC|0||0|0|0\n", 3),
+                              (parse_jsonl, jsonl, 4)]:
+        with pytest.raises(ParseError, match="duplicate commit id") as exc:
+            parse(text)
+        assert exc.value.line == line
+        src = tmp_path / "dup.txt"
+        src.write_text(text)
+        assert main(["ingest", str(src)]) == 2
+        assert f"line {line}: duplicate" in capsys.readouterr().err
+    # a direct caller of ProjectHistory.build still gets the check
+    with pytest.raises(ParseError, match="duplicate commit id 'c0'"):
+        ProjectHistory.build("h", make_history([("a@x", 1)]).commits * 2)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["old", "new", "x"]), inner, max_size=3),
+    max_leaves=6)
+_REQUIRED = {"id": st.sampled_from(["a", "b", "c", "d"]),
+             "email": st.sampled_from(["a@x", " A@X", "b@x"]),
+             "ts": st.sampled_from([0, 1, 2.5]) | st.floats(0, 1e10)}
+_OPTIONAL = {"name": st.sampled_from(["Ann", "", None]),
+             "added": st.integers(0, 3), "deleted": st.integers(0, 3),
+             "parents": st.integers(0, 3),
+             "files": st.lists(st.fixed_dictionaries(
+                 {}, optional={"old": st.text(max_size=2), "new": st.text(max_size=2)}),
+                 max_size=2)}
+_GOOD_RECORDS = st.fixed_dictionaries(_REQUIRED, optional=_OPTIONAL)
+_KEYS = st.sampled_from([*_REQUIRED, *_OPTIONAL])
+_EDGE_VALUES = _JSON_VALUES | st.sampled_from(["", -1, 10**400, float("inf"), [{}]])
+_BAD_JSONL_LINES = st.one_of(
+    # one of the 8 fields set to any JSON value, or missing
+    st.tuples(_GOOD_RECORDS, _KEYS, _EDGE_VALUES).map(lambda t: {**t[0], t[1]: t[2]})
+    .map(json.dumps),
+    st.tuples(_GOOD_RECORDS, _KEYS).map(
+        lambda t: json.dumps({k: v for k, v in t[0].items() if k != t[1]})),
+    st.dictionaries(_KEYS, _JSON_VALUES).map(json.dumps),
+    _JSON_VALUES.map(json.dumps), st.sampled_from(["{", "{nope}", "NaN"]))
+_LOG_TEXT = st.text("C|-\t 01ax@.e", max_size=4)
+# (good values, edge values) of each header and numstat field
+_HEADER_FIELDS = [(("C",), ("c", "")), (("a", "b", "c"), ("",)),
+                  (("a@x", " A@X", "b@x"), ("",)), (("Ann", ""), ("",)),
+                  (("0", "1", "2.5", "1400000000"), ("-1", "nan", "1e400", "0x1")),
+                  (("0", "1", "2"), ("-1", "1.0"))]
+_ROW_FIELDS = [(("0", "3", "-"), ("-1", "")), (("0", "3", "-"), ("-1", "--")),
+               (("f.py",), ("",))]
+
+
+def _fields(spec, sep, edge):
+    """``spec``'s fields joined by ``sep``: good values, or with ``edge`` also
+    edge values and text from a small alphabet."""
+    def field(good, bad):
+        return st.sampled_from(good + bad) | _LOG_TEXT if edge else st.sampled_from(good)
+    return st.tuples(*(field(good, bad) for good, bad in spec)).map(sep.join)
+
+
+_GOOD_LOG_ENTRIES = st.tuples(
+    _fields(_HEADER_FIELDS, "|", False),
+    st.lists(_fields(_ROW_FIELDS, "\t", False), max_size=2)).map(
+    lambda t: "\n".join([t[0], *t[1], ""]))
+# a header or numstat row with edge values or text from a small alphabet
+_BAD_LOG_LINES = (_fields(_HEADER_FIELDS, "|", True) | _fields(_ROW_FIELDS, "\t", True)
+                  | _LOG_TEXT)
+
+
+def _one_bad_line(good, bad):
+    """Good lines with at most one bad line put in among them."""
+    return st.tuples(st.lists(good, max_size=6), st.none() | bad,
+                     st.integers(0, 6)).map(
+        lambda t: t[0] if t[1] is None else [*t[0][:t[2]], t[1], *t[0][t[2]:]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_one_bad_line(_GOOD_RECORDS.map(json.dumps), _BAD_JSONL_LINES),
+       _one_bad_line(_GOOD_LOG_ENTRIES, _BAD_LOG_LINES), st.booleans())
+def test_parsers_fuzz(jsonl_lines, log_lines, include_merges):
+    # any input either parses or is a ParseError that names its line
+    for parse, lines in [(parse_jsonl, jsonl_lines), (parse_commit_log, log_lines)]:
+        try:
+            parse("\n".join(lines) + "\n", include_merges=include_merges)
+        except ParseError as exc:
+            assert exc.line is not None, exc
 
 
 def test_jsonl_roundtrip_is_identity():

@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.stats import linregress
 
+from scalemetrics.cli import main
 from scalemetrics.ingest import parse_jsonl, write_jsonl
 from scalemetrics.simulate import (
     BranchingModel,
@@ -155,3 +158,29 @@ def test_heavy_tail_generator_deterministic():
     h1 = simulate_heavy_tail_participation(0.7, n_windows=20, max_events=200, seed=5)
     h2 = simulate_heavy_tail_participation(0.7, n_windows=20, max_events=200, seed=5)
     assert h1.commits == h2.commits
+
+
+def test_generator_output_is_pinned(tmp_path, capsys):
+    # the simulators write the benchmark's inputs: their bytes must not move
+    branching = BranchingModel(eta=0.5, immigrant_rate=0.01, offspring_delay_scale=5.0,
+                               horizon=20_000.0, seed=11)
+    for history, commits, digest in [
+        (simulate_zipf_growth(10.0, 0.5, max_n=20, seed=3), 977,
+         "7bc52f662c1a1a753c56ff4a18a9eaab508ef86c712b4688b128a62bce07e710"),
+        (simulate_heavy_tail_participation(0.7, n_windows=20, max_events=200, seed=5),
+         1110, "deec0128b3fd4e1cb605ab9a8752ce8f73bf8c066b30b71ad8095e395441674b"),
+        (simulate_branching_stream(branching, participants=50,
+                                   participation_mu=0.8).history,
+         313, "8c88f9727f1f0bf132c776e485044c659dd510eb32f35115629eaf52365e32b8"),
+    ]:
+        assert len(history) == commits
+        assert hashlib.sha256(write_jsonl(history).encode()).hexdigest() == digest
+        # one shared AuthorId per author
+        assert len({id(c.author) for c in history.commits}) == len(history.authors)
+    # generators that draw no events write an empty history
+    for argv in (["heavy-tail", "--windows", "0"],
+                 ["branching", "--immigrant-rate", "1e-6", "--horizon", "10s"]):
+        out = tmp_path / "empty.jsonl"
+        assert main(["simulate", *argv, "-o", str(out)]) == 0
+        assert out.read_text() == ""
+        assert capsys.readouterr().err == "0 commits\n"

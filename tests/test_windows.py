@@ -14,7 +14,6 @@ from scalemetrics.windows import (
     inter_commit_quantile,
     single_commit_share,
     team_windows,
-    windows_to_csv,
 )
 
 from conftest import make_history, random_history, timed_histories
@@ -114,14 +113,6 @@ def test_share_forty_percent():
 def test_share_all_single():
     h = make_history([(f"d{i}@x", i) for i in range(5)])
     assert single_commit_share(h) == 1.0
-
-
-def test_windows_csv_shape():
-    h = make_history([("a@x", 0), ("b@x", 10 * DAY)])
-    csv = windows_to_csv(active_team_series(h, FixedWindow(5 * DAY)))
-    lines = csv.strip().splitlines()
-    assert lines[0] == "start_ts,end_ts,n,commits"
-    assert len(lines) == 4
 
 
 def _sparse_rows(team):
