@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import cascades, ingest, scaling, simulate
-from .errors import ConfigError, ScaleMetricsError
+from .errors import ConfigError, ParseError, ScaleMetricsError
 from .metrics import ProductionMeasure, csv_number, observations_to_csv
 from .windows import DAY, FixedWindow
 
@@ -62,20 +62,13 @@ def _default_seed():
         raise ConfigError(f"SCALEMETRICS_SEED must be an integer, got {env!r}") from None
 
 
-def _load_history(path, input_format="auto", include_merges=False,
-                  alias_map=None, drop_authors=()):
+def _load_history(path, input_format, include_merges=False):
     text = Path(path).read_text(encoding="utf-8")
     if input_format == "auto":
         first = next((ln for ln in text.splitlines() if ln.strip()), "")
         input_format = "log" if first.startswith("C|") else "jsonl"
-    if input_format == "log":
-        history = ingest.parse_commit_log(text, project_name=Path(path).stem,
-                                          include_merges=include_merges)
-    else:
-        history = ingest.parse_jsonl(text, project_name=Path(path).stem,
-                                     include_merges=include_merges)
-    return ingest.resolve_authors(history, alias_map=alias_map,
-                                  drop_authors=drop_authors)
+    parse = ingest.parse_commit_log if input_format == "log" else ingest.parse_jsonl
+    return parse(text, project_name=Path(path).stem, include_merges=include_merges)
 
 
 def _json_dumps(obj):
@@ -96,13 +89,9 @@ def cmd_ingest(args):
     alias_map = None
     if args.alias_map:
         alias_map = json.loads(Path(args.alias_map).read_text(encoding="utf-8"))
-    history = _load_history(
-        args.input,
-        input_format=args.input_format,
-        include_merges=args.include_merges,
-        alias_map=alias_map,
-        drop_authors=args.drop_author,
-    )
+    history = ingest.resolve_authors(
+        _load_history(args.input, args.input_format, args.include_merges),
+        alias_map=alias_map, drop_authors=args.drop_author)
     out = ingest.write_jsonl(history)
     if args.output:
         Path(args.output).write_text(out, encoding="utf-8")
@@ -155,7 +144,7 @@ def _analyze_history(history, args):
 
 def cmd_analyze(args):
     _check_analysis_flags(args)
-    history = _load_history(args.input, input_format=args.input_format)
+    history = _load_history(args.input, args.input_format)
     bundle, report = _analyze_history(history, args)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -240,7 +229,7 @@ def cmd_compare(args):
     projects = []
     for path in corpus:
         name = path.stem
-        bundle, _ = _analyze_history(_load_history(path, input_format="jsonl"), args)
+        bundle, _ = _analyze_history(_load_history(path, "jsonl"), args)
         (outdir / f"{name}.report.json").write_text(
             _json_dumps(bundle), encoding="utf-8"
         )
@@ -302,8 +291,15 @@ def render_text(bundle):
 
 
 def cmd_report(args):
-    bundle = json.loads(Path(args.report).read_text(encoding="utf-8"))
-    sys.stdout.write(render_text(bundle))
+    try:
+        bundle = json.loads(Path(args.report).read_text(encoding="utf-8"))
+        if not isinstance(bundle, dict):
+            raise TypeError(f"an object is needed, got {type(bundle).__name__}")
+        text = render_text(bundle)
+    except (ValueError, KeyError, TypeError, AttributeError, IndexError) as exc:
+        part = f"no {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
+        raise ParseError(f"{args.report} is not a report bundle: {part}") from None
+    sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -96,6 +96,8 @@ class CommitRecord:
             raise ValueError(f"bad timestamp {self.timestamp!r}")
         if self.lines_added < 0 or self.lines_deleted < 0:
             raise ValueError("line deltas must be non-negative")
+        if self.parent_count < 0:
+            raise ValueError(f"negative parent count {self.parent_count}")
 
 
 class HistoryColumns(NamedTuple):
@@ -315,13 +317,15 @@ def write_jsonl(history):
 
 
 def _normalize_alias_map(alias_map):
-    """Lowercase/trim keys and values; reject cycles."""
+    """Lowercase/trim keys and values; reject non-strings and cycles."""
+    if not isinstance(alias_map, dict):
+        raise ConfigError(f"alias map must be an object, got {type(alias_map).__name__}")
     normalized = {}
     for raw_key, raw_val in alias_map.items():
-        key = AuthorId.normalize(str(raw_key))
-        val = AuthorId.normalize(str(raw_val))
+        key = AuthorId.normalize(raw_key) if isinstance(raw_key, str) else ""
+        val = AuthorId.normalize(raw_val) if isinstance(raw_val, str) else ""
         if not key or not val:
-            raise ConfigError(f"empty alias entry {raw_key!r} -> {raw_val!r}")
+            raise ConfigError(f"empty or non-string alias entry {raw_key!r} -> {raw_val!r}")
         normalized[key] = val
     for start in normalized:
         seen = {start}
@@ -343,7 +347,7 @@ def resolve_authors(history, alias_map=None, drop_authors=()):
     commits are removed. The kept records stay in the history's order:
     dropping and relabelling records cannot unsort it or duplicate an id.
     """
-    aliases = _normalize_alias_map(alias_map or {})
+    aliases = {} if alias_map is None else _normalize_alias_map(alias_map)
     drop = {AuthorId.normalize(str(a)) for a in drop_authors}
     resolved = {}  # (raw_email, raw_name, key) -> AuthorId, None if dropped
     shared = {}  # resolved key -> its one AuthorId

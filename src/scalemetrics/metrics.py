@@ -2,9 +2,9 @@
 
 Supported measures: commit counts, added/deleted/total lines of code, and
 the Levenshtein edit distance of diff payloads. Edit distance is computed
-byte-level on UTF-8 with a configurable per-side size cap; commits whose
-payload is missing or over the cap are excluded from that measure's totals
-and counted in a coverage statistic rather than silently truncated.
+byte-level on UTF-8 with the fixed 1 MiB per-side cap :data:`DEFAULT_SIZE_CAP`;
+commits whose payload is missing or over the cap are excluded from that
+measure's totals and counted in a coverage statistic rather than truncated.
 
 The edit distance uses Hyyrö's global-distance form of Myers' bit-parallel
 recurrence (Myers, "A fast bit-vector algorithm for approximate string
@@ -74,7 +74,7 @@ class WindowObservation:
     production: float
 
 
-def levenshtein_distance(a, b, size_cap=DEFAULT_SIZE_CAP):
+def levenshtein_distance(a, b):
     """Unit-cost insert/delete/substitute edit distance, byte-level on UTF-8.
 
     Bit-parallel (Myers 1999, in Hyyrö's 2003 global-distance form): the
@@ -82,16 +82,16 @@ def levenshtein_distance(a, b, size_cap=DEFAULT_SIZE_CAP):
     longer side advances the whole DP column with a few big-int operations,
     about ceil(m/64)*n word operations in all. Each side is a str, bytes
     or bytearray (anything else raises TypeError); inputs larger than
-    ``size_cap`` bytes per side raise MeasureUnavailableError.
+    :data:`DEFAULT_SIZE_CAP` bytes per side raise MeasureUnavailableError.
     """
     for side in (a, b):
         if not isinstance(side, (str, bytes, bytearray)):
             raise TypeError(f"edit distance needs str or bytes, got {type(side).__name__}")
     xs = a.encode("utf-8") if isinstance(a, str) else bytes(a)
     ys = b.encode("utf-8") if isinstance(b, str) else bytes(b)
-    if len(xs) > size_cap or len(ys) > size_cap:
+    if len(xs) > DEFAULT_SIZE_CAP or len(ys) > DEFAULT_SIZE_CAP:
         raise MeasureUnavailableError(
-            f"input exceeds size cap ({max(len(xs), len(ys))} > {size_cap} bytes)"
+            f"input exceeds size cap ({max(len(xs), len(ys))} > {DEFAULT_SIZE_CAP} bytes)"
         )
     if len(xs) > len(ys):
         xs, ys = ys, xs
@@ -123,7 +123,7 @@ def levenshtein_distance(a, b, size_cap=DEFAULT_SIZE_CAP):
     return score
 
 
-def commit_production(commit, measure, size_cap=DEFAULT_SIZE_CAP):
+def commit_production(commit, measure):
     """Production contributed by one commit under the given measure."""
     if measure is ProductionMeasure.COMMITS:
         return 1.0
@@ -139,19 +139,19 @@ def commit_production(commit, measure, size_cap=DEFAULT_SIZE_CAP):
                 f"commit {commit.commit_id} has no diff payload"
             )
         return float(
-            sum(levenshtein_distance(o, n, size_cap) for o, n in commit.diff_payload)
+            sum(levenshtein_distance(o, n) for o, n in commit.diff_payload)
         )
     raise ValueError(f"unknown measure {measure!r}")
 
 
-def commit_productions(history, measure, size_cap=DEFAULT_SIZE_CAP):
+def commit_productions(history, measure):
     """(values, unavailable_commit_count): each commit's production under
     ``measure`` in history order, None where the measure is unavailable."""
     values = []
     unavailable = 0
     for c in history.commits:
         try:
-            values.append(commit_production(c, measure, size_cap))
+            values.append(commit_production(c, measure))
         except MeasureUnavailableError:
             values.append(None)
             unavailable += 1
@@ -180,18 +180,17 @@ def series_observations(team, productions):
     ]
 
 
-def window_observations_with_coverage(history, definition, measure,
-                                      size_cap=DEFAULT_SIZE_CAP):
+def window_observations_with_coverage(history, definition, measure):
     """(observations, unavailable_commit_count) for non-empty windows."""
     team = team_windows(history, resolve_window_length(history, definition))
-    productions, unavailable = commit_productions(history, measure, size_cap)
+    productions, unavailable = commit_productions(history, measure)
     return series_observations(team, productions), unavailable
 
 
-def window_observations(history, definition, measure, size_cap=DEFAULT_SIZE_CAP):
+def window_observations(history, definition, measure):
     """One WindowObservation per non-empty window; production summed over
     the window's commits under ``measure``."""
-    obs, _ = window_observations_with_coverage(history, definition, measure, size_cap)
+    obs, _ = window_observations_with_coverage(history, definition, measure)
     return obs
 
 

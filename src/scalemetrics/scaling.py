@@ -232,13 +232,14 @@ TAIL_METHODS = {"hill": ("hill",), "mle": ("pareto-mle",),
 
 def methodology_compare(history, measure, fixed_window=None, quantile=0.9,
                         use_binning=True, bins_per_decade=5, seed=42,
-                        hill_fraction=0.1, estimator="both"):
+                        estimator="both"):
     """Run both methodologies plus tail fits on the same history.
 
     Each commit's production is computed once and shared by arm A, arm B
     and the tail distribution; each arm windows the history once, keeping
     only its non-empty windows. ``estimator`` ("hill", "mle" or "both")
-    selects the tail fits that are run.
+    selects the tail fits that are run; the Hill fit reads the top tenth
+    (at least 10) of the per-author totals.
     """
     methods = TAIL_METHODS[estimator]
     fixed_window = fixed_window or FixedWindow()
@@ -267,11 +268,10 @@ def methodology_compare(history, measure, fixed_window=None, quantile=0.9,
     tail_fits = {}
     tail_errors = {}
     try:
-        dist = tails.ContributionDistribution.from_productions(
-            history, productions, measure)
+        dist = tails.ContributionDistribution.from_productions(history, productions)
         if "hill" in methods:
             try:
-                k = max(tails.MIN_TAIL_POINTS, int(hill_fraction * len(dist.values)))
+                k = max(tails.MIN_TAIL_POINTS, int(0.1 * len(dist.values)))
                 tail_fits["hill"] = tails.hill_estimator(dist, k=k, seed=seed)
             except ScaleMetricsError as exc:
                 tail_errors["hill"] = str(exc)

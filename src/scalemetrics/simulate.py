@@ -31,6 +31,7 @@ from .scaling import ols
 from .windows import DAY
 
 DEFAULT_EVENT_CAP = 10**6
+AUTHOR_POOL = 100_000  # authors a heavy-tail participation history draws from
 
 __all__ = [
     "ZipfTeamModel",
@@ -118,10 +119,10 @@ def sample_pareto(mu, xmin, count, seed):
     return xmin * u ** (-1.0 / mu)
 
 
-def simulate_sum_scaling(mu, n_values, trials=100, seed=42):
+def simulate_sum_scaling(mu, n_values, seed=42):
     """OLS slope of log median-total vs log n.
 
-    For each n, the median over ``trials`` of the sum of n Pareto(mu)
+    For each n, the median over 100 trials of the sum of n Pareto(mu)
     draws. The median (not the mean) is used because for mu < 1 the mean
     is dominated by extremes and does not converge; the median of the sum
     still scales as n^(1/mu).
@@ -130,7 +131,7 @@ def simulate_sum_scaling(mu, n_values, trials=100, seed=42):
     medians = []
     for i, n in enumerate(n_values):
         rng = np.random.default_rng([seed, i])
-        u = 1.0 - rng.random((trials, n))
+        u = 1.0 - rng.random((100, n))
         sums = np.sum(u ** (-1.0 / mu), axis=1)
         medians.append(float(np.median(sums)))
     slope, _, _, _ = ols(np.log(n_values), np.log(medians))
@@ -253,16 +254,15 @@ def simulate_zipf_growth(N, alpha, max_n=None, window_length=5 * DAY, seed=42,
 
 
 def simulate_heavy_tail_participation(mu, n_windows=60, min_events=5,
-                                      max_events=2000, pool=100_000,
-                                      window_length=5 * DAY, seed=42,
-                                      project_name="heavy-tail-sim"):
+                                      max_events=2000, window_length=5 * DAY,
+                                      seed=42, project_name="heavy-tail-sim"):
     """History with Zipf-weighted author participation of tail exponent mu.
 
     Per-window event counts are log-spaced between ``min_events`` and
-    ``max_events``; every event is attributed to one of ``pool`` authors
-    with rank weights j^(-1/mu). The number of distinct authors among m
-    draws then grows as m^mu, so total per-window production scales as
-    n^(1/mu) in team size n: superlinear for mu < 1.
+    ``max_events``; every event is attributed to one of :data:`AUTHOR_POOL`
+    authors with rank weights j^(-1/mu). The number of distinct authors
+    among m draws then grows as m^mu, so total per-window production
+    scales as n^(1/mu) in team size n: superlinear for mu < 1.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
@@ -271,7 +271,7 @@ def simulate_heavy_tail_participation(mu, n_windows=60, min_events=5,
                              n_windows)).astype(int)
     )
     order = np.random.default_rng([seed, 0]).permutation(len(counts))
-    ranks = np.arange(1, pool + 1, dtype=float)
+    ranks = np.arange(1, AUTHOR_POOL + 1, dtype=float)
     probs = ranks ** (-1.0 / mu)
     probs /= probs.sum()
     times, members = [], []
@@ -279,5 +279,5 @@ def simulate_heavy_tail_participation(mu, n_windows=60, min_events=5,
         rng = np.random.default_rng([seed, w + 1])
         ts = _window_commits(w, window_length, int(count), rng, w == 0)
         times += ts.tolist()
-        members += rng.choice(pool, size=int(count), p=probs).tolist()
+        members += rng.choice(AUTHOR_POOL, size=int(count), p=probs).tolist()
     return _sim_history(project_name, "ht", times, members)

@@ -6,7 +6,7 @@ production (infinite-mean regime), mu < 1/2 superlinear productivity.
 Two estimators are provided: the Hill estimator on the k largest order
 statistics, and a cutoff-aware Pareto MLE that picks the lower cutoff by
 minimizing the Kolmogorov-Smirnov distance of the fitted tail. Confidence
-intervals come from a seeded bootstrap (200 resamples by default).
+intervals come from a seeded bootstrap (200 resamples).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .errors import DegenerateDataError, InsufficientDataError
 from .metrics import commit_productions, production_column
 
 MIN_TAIL_POINTS = 10
+N_BOOTSTRAP = 200
 
 __all__ = [
     "ContributionDistribution",
@@ -38,7 +39,6 @@ class ContributionDistribution:
     """Positive per-developer totals under one production measure."""
 
     values: tuple
-    measure: object = None
 
     def __post_init__(self):
         if not self.values:
@@ -51,10 +51,10 @@ class ContributionDistribution:
         """Per-author production totals; authors with zero total are dropped,
         commits where the measure is unavailable are skipped."""
         productions, _ = commit_productions(history, measure)
-        return cls.from_productions(history, productions, measure)
+        return cls.from_productions(history, productions)
 
     @classmethod
-    def from_productions(cls, history, productions, measure):
+    def from_productions(cls, history, productions):
         """As :meth:`from_history`, from per-commit ``productions`` already
         computed by :func:`~scalemetrics.metrics.commit_productions`.
 
@@ -69,7 +69,7 @@ class ContributionDistribution:
         values = tuple(totals[totals > 0].tolist())
         if not values:
             raise InsufficientDataError("no author has positive production")
-        return cls(values=values, measure=measure)
+        return cls(values)
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,7 @@ def _hill_mu(sorted_desc, k):
     return k / denom
 
 
-def hill_estimator(distribution, k, n_bootstrap=200, seed=42):
+def hill_estimator(distribution, k, seed=42):
     """Hill estimate of mu from the k largest order statistics, with a
     seeded bootstrap percentile CI."""
     values = np.asarray(distribution.values, dtype=float)
@@ -132,7 +132,7 @@ def hill_estimator(distribution, k, n_bootstrap=200, seed=42):
     mu = _hill_mu(sorted_desc, k)
     rng = np.random.default_rng(seed)
     boots = []
-    for _ in range(n_bootstrap):
+    for _ in range(N_BOOTSTRAP):
         resample = np.sort(rng.choice(values, size=n, replace=True))[::-1]
         try:
             boots.append(_hill_mu(resample, k))
@@ -152,9 +152,9 @@ def hill_estimator(distribution, k, n_bootstrap=200, seed=42):
     )
 
 
-def _ks_best_fit(values_sorted, candidates, min_tail):
+def _ks_best_fit(values_sorted, candidates):
     """Scan candidate cutoffs; return (xmin, mu, k, ks) minimizing the KS
-    distance of the fitted Pareto tail. Candidates leaving < min_tail
+    distance of the fitted Pareto tail. Candidates leaving < MIN_TAIL_POINTS
     points or a degenerate tail are skipped."""
     best = None
     n = len(values_sorted)
@@ -163,7 +163,7 @@ def _ks_best_fit(values_sorted, candidates, min_tail):
     for xmin in candidates:
         i = np.searchsorted(values_sorted, xmin, side="left")
         k = n - i
-        if k < min_tail:
+        if k < MIN_TAIL_POINTS:
             continue
         denom = suffix_logsum[i] - k * np.log(xmin)
         if denom <= 0:
@@ -180,8 +180,8 @@ def _ks_best_fit(values_sorted, candidates, min_tail):
     return best
 
 
-def _candidate_cutoffs(values_sorted, min_tail, max_candidates):
-    eligible = values_sorted[: len(values_sorted) - min_tail + 1]
+def _candidate_cutoffs(values_sorted, max_candidates):
+    eligible = values_sorted[: len(values_sorted) - MIN_TAIL_POINTS + 1]
     if len(eligible) > max_candidates:
         # rank-spaced decimation keeps the scan O(n * max_candidates / 2)
         idx = np.linspace(0, len(eligible) - 1, max_candidates).round().astype(int)
@@ -189,30 +189,29 @@ def _candidate_cutoffs(values_sorted, min_tail, max_candidates):
     return np.unique(eligible)
 
 
-def pareto_mle_fit(distribution, min_tail=MIN_TAIL_POINTS, max_candidates=256,
-                   n_bootstrap=200, seed=42):
+def pareto_mle_fit(distribution, seed=42):
     """KS-minimizing Pareto MLE: for each candidate cutoff, fit mu by MLE on
     the tail, keep the cutoff with the smallest KS distance.
 
-    The candidate set is decimated to at most ``max_candidates``
-    rank-spaced unique values to keep the scan tractable on large samples.
+    The candidate set is decimated to at most 256 rank-spaced unique values
+    to keep the scan tractable on large samples.
     The bootstrap CI resamples the tail at the chosen cutoff (cutoff
     re-selection is not repeated per resample).
     """
     values = np.sort(np.asarray(distribution.values, dtype=float))
     if len(values) < 50:
         raise InsufficientDataError("need at least 50 values for a cutoff-aware fit")
-    candidates = _candidate_cutoffs(values, min_tail, max_candidates)
-    best = _ks_best_fit(values, candidates, min_tail)
+    candidates = _candidate_cutoffs(values, 256)
+    best = _ks_best_fit(values, candidates)
     if best is None:
         raise InsufficientDataError(
-            f"no cutoff leaves >= {min_tail} usable tail points"
+            f"no cutoff leaves >= {MIN_TAIL_POINTS} usable tail points"
         )
     xmin, mu, k, _ = best
     tail = values[len(values) - k:]
     rng = np.random.default_rng(seed)
     boots = []
-    for _ in range(n_bootstrap):
+    for _ in range(N_BOOTSTRAP):
         resample = rng.choice(tail, size=k, replace=True)
         denom = np.sum(np.log(resample / xmin))
         if denom > 0:

@@ -74,9 +74,9 @@ def test_criterion_2_eq1_asymptotics():
 def test_criterion_3_sum_scaling():
     start = time.perf_counter()
     ns = np.unique(np.logspace(2, 4, 8).astype(int)).tolist()
-    s05 = simulate_sum_scaling(0.5, ns, trials=100, seed=42)
-    s07 = simulate_sum_scaling(0.7, ns, trials=100, seed=42)
-    s15 = simulate_sum_scaling(1.5, ns, trials=100, seed=42)
+    s05 = simulate_sum_scaling(0.5, ns, seed=42)
+    s07 = simulate_sum_scaling(0.7, ns, seed=42)
+    s15 = simulate_sum_scaling(1.5, ns, seed=42)
     elapsed = time.perf_counter() - start
     assert s05 == pytest.approx(1 / 0.5, abs=0.15)
     assert s07 == pytest.approx(1 / 0.7, abs=0.15)

@@ -257,11 +257,30 @@ def test_load_history_builds_once_per_file(tmp_path, monkeypatch):
                      '{"id": "b", "email": "old@x", "ts": 1}\n')
     for path in (log, jsonl):
         for alias_map, drop in [(None, ()), ({"old@x": "b@x"}, ["c@x"])]:
-            history = cli._load_history(path, alias_map=alias_map, drop_authors=drop)
+            # the load and the alias pass that ingest runs on it
+            history = ingest.resolve_authors(cli._load_history(path, "auto"),
+                                             alias_map=alias_map, drop_authors=drop)
             assert builds == ["h"]
             assert [c.commit_id for c in history.commits] == ["b", "a"]
             assert len(history.authors) == (1 if alias_map else 2)
             builds.clear()
+
+
+def test_only_ingest_resolves_authors(zipf_corpus, tmp_path, monkeypatch):
+    calls = []
+    original = ingest.resolve_authors
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].project_name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ingest, "resolve_authors", counting)
+    src = zipf_corpus / "proj0.jsonl"
+    assert main(["analyze", str(src), "-o", str(tmp_path / "a")]) == 0
+    assert main(["compare", str(zipf_corpus), "-o", str(tmp_path / "c")]) == 0
+    assert calls == []
+    assert main(["ingest", str(src), "-o", str(tmp_path / "i.jsonl")]) == 0
+    assert calls == ["proj0"]
 
 
 def test_analyze_csv_values_are_exact(tmp_path):
@@ -394,6 +413,26 @@ def test_report_renders_saved_json(zipf_corpus, tmp_path, capsys):
     assert main(["report", str(out / "report.json")]) == 0
     text = capsys.readouterr().out
     assert "arm A" in text and "cascades" in text
+
+
+@pytest.mark.parametrize("corrupt, named", [
+    (lambda bundle: "{}", "no 'arm_a'"),
+    (lambda bundle: "[1, 2]", "got list"),
+    (lambda bundle: json.dumps({k: v for k, v in bundle.items() if k != "arm_a"}),
+     "no 'arm_a'"),
+    (lambda bundle: json.dumps({**bundle, "arm_a": {}}), "no 'fit'"),
+    (lambda bundle: "nope", "Expecting value"),
+], ids=["empty-object", "array", "no-arm-a", "arm-a-without-fit", "not-json"])
+def test_report_of_a_non_report_is_a_data_error(corrupt, named, zipf_corpus,
+                                                tmp_path, capsys):
+    out = tmp_path / "out"
+    main(["analyze", str(zipf_corpus / "proj1.jsonl"), "-o", str(out)])
+    src = tmp_path / "not-a-report.json"
+    src.write_text(corrupt(json.loads((out / "report.json").read_text())))
+    capsys.readouterr()
+    assert main(["report", str(src)]) == 2
+    err = capsys.readouterr().err
+    assert f"{src} is not a report bundle" in err and named in err
 
 
 @pytest.mark.parametrize("solo", [False, True])

@@ -175,12 +175,17 @@ def _one_bad_line(good, bad):
 @given(_one_bad_line(_GOOD_RECORDS.map(json.dumps), _BAD_JSONL_LINES),
        _one_bad_line(_GOOD_LOG_ENTRIES, _BAD_LOG_LINES), st.booleans())
 def test_parsers_fuzz(jsonl_lines, log_lines, include_merges):
-    # any input either parses or is a ParseError that names its line
+    # any input either parses or is a ParseError that names its line; a parsed
+    # history comes back from resolve_authors without a map record for record
     for parse, lines in [(parse_jsonl, jsonl_lines), (parse_commit_log, log_lines)]:
         try:
-            parse("\n".join(lines) + "\n", include_merges=include_merges)
+            h = parse("\n".join(lines) + "\n", include_merges=include_merges)
         except ParseError as exc:
             assert exc.line is not None, exc
+        else:
+            resolved = resolve_authors(h).commits
+            assert len(resolved) == len(h) and all(
+                a is b for a, b in zip(resolved, h.commits))
 
 
 def test_jsonl_roundtrip_is_identity():
@@ -235,6 +240,7 @@ def test_jsonl_malformed_payload_rejected(files, tmp_path, capsys):
     {"id": 7},
     {"ts": "100"},
     {"ts": 10**400},  # an integer too large for a float
+    {"parents": -1},
 ])
 def test_jsonl_malformed_field_rejected(field, tmp_path, capsys):
     record = {"id": "b", "email": "a@x", "ts": 2, **field}
@@ -246,6 +252,22 @@ def test_jsonl_malformed_field_rejected(field, tmp_path, capsys):
     src.write_text(text)
     assert main(["analyze", str(src), "-o", str(tmp_path / "out")]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+def test_log_negative_parent_count_rejected(tmp_path, capsys):
+    text = log_entry("a", "a@x", 1, rows=[(1, 0, "f")], parents=-3)
+    with pytest.raises(ParseError, match="negative parent count") as exc:
+        parse_commit_log(text)
+    assert exc.value.line == 1
+    src = tmp_path / "bad.log"
+    src.write_text(text)
+    assert main(["ingest", str(src)]) == 2
+    assert "line 1: negative parent count -3" in capsys.readouterr().err
+    # a root commit (no parents) stays valid in both formats
+    root = parse_commit_log(log_entry("a", "a@x", 1, parents=0))
+    assert root.commits[0].parent_count == 0
+    root = parse_jsonl('{"id": "a", "email": "a@x", "ts": 1, "parents": 0}\n')
+    assert root.commits[0].parent_count == 0
 
 
 def test_jsonl_null_identity_fields_read_as_empty():
@@ -283,6 +305,22 @@ def test_cyclic_alias_map_rejected():
     h = make_history([("a@x", 1)])
     with pytest.raises(ConfigError):
         resolve_authors(h, alias_map={"a@x": "b@x", "b@x": "a@x"})
+
+
+@pytest.mark.parametrize("alias_map, named", [
+    (["a"], "got list"),  # not an object
+    ({"a@x": 5}, "'a@x' -> 5"),  # not read as "5"
+    ({"a@x": None}, "'a@x' -> None"),  # not read as "none"
+])
+def test_malformed_alias_map_rejected(alias_map, named, tmp_path, capsys):
+    h = make_history([("a@x", 1)])
+    with pytest.raises(ConfigError, match=named):
+        resolve_authors(h, alias_map=alias_map)
+    src, aliases = tmp_path / "h.jsonl", tmp_path / "aliases.json"
+    src.write_text(write_jsonl(h))
+    aliases.write_text(json.dumps(alias_map))
+    assert main(["ingest", str(src), "--alias-map", str(aliases)]) == 1
+    assert named in capsys.readouterr().err
 
 
 def test_author_count_conservation(rng):

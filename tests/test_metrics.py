@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from scalemetrics.errors import MeasureUnavailableError
 from scalemetrics.metrics import (
+    DEFAULT_SIZE_CAP,
     ProductionMeasure,
     commit_production,
     levenshtein_distance,
@@ -106,8 +107,12 @@ def test_lev_symmetry_and_triangle():
 
 
 def test_lev_size_cap():
-    with pytest.raises(MeasureUnavailableError):
-        levenshtein_distance("x" * 100, "y", size_cap=10)
+    # a side one byte over the cap is refused before the DP runs, either way round
+    over = "x" * (DEFAULT_SIZE_CAP + 1)
+    for a, b in [(over, "y"), ("y", over), (over, "")]:
+        with pytest.raises(MeasureUnavailableError, match="size cap"):
+            levenshtein_distance(a, b)
+    assert levenshtein_distance("", b"x" * DEFAULT_SIZE_CAP) == DEFAULT_SIZE_CAP
 
 
 @pytest.mark.parametrize("side", [5, None, ["a"], memoryview(b"ab")])

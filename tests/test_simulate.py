@@ -95,9 +95,9 @@ def test_sample_pareto_ccdf():
 
 def test_sum_scaling_slopes():
     ns = np.unique(np.logspace(2, 4, 8).astype(int)).tolist()
-    assert simulate_sum_scaling(0.5, ns, trials=100, seed=42) == pytest.approx(2.0, abs=0.15)
-    assert simulate_sum_scaling(1.5, ns, trials=100, seed=42) == pytest.approx(1.0, abs=0.1)
-    boundary = simulate_sum_scaling(1.0, ns, trials=100, seed=42)
+    assert simulate_sum_scaling(0.5, ns, seed=42) == pytest.approx(2.0, abs=0.15)
+    assert simulate_sum_scaling(1.5, ns, seed=42) == pytest.approx(1.0, abs=0.1)
+    boundary = simulate_sum_scaling(1.0, ns, seed=42)
     assert 1.0 <= boundary <= 1.25  # logarithmic corrections at mu = 1
 
 

@@ -111,8 +111,8 @@ def test_mle_spliced_lognormal_body():
 def test_mle_matches_brute_force_ks_scan():
     # oracle: naive KS evaluation at every candidate, no shared prefix sums
     values = np.sort(sample_pareto(0.9, 1.0, 400, seed=9))
-    candidates = _candidate_cutoffs(values, 10, 10**9)
-    best = _ks_best_fit(values, candidates, 10)
+    candidates = _candidate_cutoffs(values, 10**9)
+    best = _ks_best_fit(values, candidates)
 
     def naive_ks(xmin):
         tail = np.sort(values[values >= xmin])
@@ -198,8 +198,8 @@ def test_author_totals_match_loop_oracle(data):
         expected = loop_author_totals(h, productions)
     except InsufficientDataError:
         with pytest.raises(InsufficientDataError):
-            ContributionDistribution.from_productions(h, productions, None)
+            ContributionDistribution.from_productions(h, productions)
     else:
         # in the order of each author's first available commit
-        assert (ContributionDistribution.from_productions(h, productions, None).values
+        assert (ContributionDistribution.from_productions(h, productions).values
                 == expected)
