@@ -10,6 +10,8 @@ self-sustained regime.
 Both :func:`default_tau` and :func:`branching_ratio` work on the gap array
 ``np.diff`` of the history's timestamp column: the cascades start where a
 gap exceeds tau, so their sizes are the distances between those positions.
+:func:`branching_ratio` takes tau from its caller; the CLI passes ``--tau``
+or, by default, :func:`default_tau`.
 """
 
 from __future__ import annotations
@@ -39,10 +41,6 @@ class Cascade:
     @property
     def size(self):
         return len(self.commit_ids)
-
-    @property
-    def duration(self):
-        return self.end_ts - self.start_ts
 
 
 @dataclass(frozen=True)
@@ -98,10 +96,9 @@ def detect_cascades(history, tau):
     ]
 
 
-def branching_ratio(history, tau=None):
-    """CascadeStats with the immigrant-fraction branching-ratio estimate."""
-    if tau is None:
-        tau = default_tau(history)
+def branching_ratio(history, tau):
+    """CascadeStats with the immigrant-fraction branching-ratio estimate for
+    the gap threshold ``tau`` (seconds; see :func:`default_tau`)."""
     sizes, counts = np.unique(np.diff(_cascade_bounds(history, tau)),
                               return_counts=True)
     cascades = int(counts.sum())

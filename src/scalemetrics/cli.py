@@ -88,7 +88,10 @@ def _history_summary(history):
 def cmd_ingest(args):
     alias_map = None
     if args.alias_map:
-        alias_map = json.loads(Path(args.alias_map).read_text(encoding="utf-8"))
+        try:
+            alias_map = json.loads(Path(args.alias_map).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:  # unreadable, or not JSON
+            raise ConfigError(f"alias map {args.alias_map}: {exc}") from None
     history = ingest.resolve_authors(
         _load_history(args.input, args.input_format, args.include_merges),
         alias_map=alias_map, drop_authors=args.drop_author)

@@ -55,6 +55,10 @@ __all__ = [
     "resolve_authors",
 ]
 
+#: the largest added + deleted line count of a commit: the LOC measure reads
+#: it as a float64, which holds every integer up to 2**53 exactly
+MAX_LINES = 2**53
+
 
 @dataclass(frozen=True, order=True)
 class AuthorId:
@@ -96,6 +100,9 @@ class CommitRecord:
             raise ValueError(f"bad timestamp {self.timestamp!r}")
         if self.lines_added < 0 or self.lines_deleted < 0:
             raise ValueError("line deltas must be non-negative")
+        if self.lines_added + self.lines_deleted > MAX_LINES:
+            raise ValueError("added + deleted lines exceed 2**53, past which a "
+                             "float64 count is not exact")
         if self.parent_count < 0:
             raise ValueError(f"negative parent count {self.parent_count}")
 
@@ -269,8 +276,9 @@ def parse_jsonl(text, project_name="project", include_merges=False):
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad JSON: {exc.msg}", line=line_no) from None
+        except ValueError as exc:  # also an integer past Python's digit limit
+            raise ParseError(f"bad JSON: {getattr(exc, 'msg', exc)}",
+                             line=line_no) from None
         if not isinstance(obj, dict) or "id" not in obj or "ts" not in obj:
             raise ParseError("record must be an object with 'id' and 'ts'", line=line_no)
         for key, types in _FIELD_TYPES.items():

@@ -5,7 +5,9 @@ Arm A ("fine-grained") fits ln P on ln n over short fixed windows (default
 Arm B ("Scholtes-style") resolves a long window from the 0.9 quantile of
 pooled inter-commit gaps and reports the trend of mean per-member output
 P/n against n. The two arms answer different questions; the report says so
-explicitly.
+explicitly. Both run one estimator, :func:`_fit`: arm B is the arm-A fit of
+ln(P/n) on ln n over its own windows, so the arms differ only in their
+windows and in P versus P/n.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
     "ols",
     "log_bin",
     "fit_scaling_exponent",
+    "fit_per_member",
     "fit_points",
     "methodology_compare",
 ]
@@ -125,22 +128,16 @@ def fit_points(ns, ps):
     return slope, intercept, se if np.isfinite(se) else 0.0, r**2
 
 
-def fit_scaling_exponent(observations, use_binning=False, bins_per_decade=5):
-    """Fit P ~ n^beta by OLS on logs, optionally after logarithmic binning.
-
-    Windows with n = 0 or P = 0 are excluded (log undefined). The 95% CI
-    uses the normal approximation on the slope standard error.
-    """
-    if use_binning:
-        points = log_bin(observations, bins_per_decade)
-    else:
-        points = _usable(observations)
+def _fit(points, binned):
+    """The one fit of both arms: OLS of ln y on ln n over the (n, y)
+    ``points``, with the 95% CI from the normal approximation on the slope
+    standard error."""
     if len(points) < 5:
         raise InsufficientDataError(
             f"need >= 5 usable observations, got {len(points)}"
         )
-    ns, ps = zip(*points)
-    beta, intercept, se, r2 = fit_points(ns, ps)
+    ns, ys = zip(*points)
+    beta, intercept, se, r2 = fit_points(ns, ys)
     return ScalingFit(
         beta=float(beta),
         intercept=float(intercept),
@@ -148,8 +145,22 @@ def fit_scaling_exponent(observations, use_binning=False, bins_per_decade=5):
         ci_high=float(beta + Z_95 * se),
         r_squared=float(r2),
         n_points=len(points),
-        binned=use_binning,
+        binned=binned,
     )
+
+
+def fit_scaling_exponent(observations, use_binning=False, bins_per_decade=5):
+    """Arm A: fit P ~ n^beta by OLS on logs, optionally after logarithmic
+    binning. Windows with n = 0 or P = 0 are excluded (log undefined)."""
+    return _fit(log_bin(observations, bins_per_decade) if use_binning
+                else _usable(observations), use_binning)
+
+
+def fit_per_member(observations):
+    """Arm B: the unbinned arm-A fit of ln(P/n) on ln n over the windows
+    with n >= 1 and P > 0, and the mean P/n over the same points."""
+    points = [(n, p / n) for n, p in _usable(observations)]
+    return _fit(points, False), sum(r for _, r in points) / len(points)
 
 
 @dataclass(frozen=True)
@@ -213,21 +224,27 @@ class MethodologyReport:
         }
 
 
-def _per_member_trend(observations):
-    points = [(o.n, o.production / o.n) for o in observations
-              if o.n >= 1 and o.production > 0]
-    if len(points) < 5:
-        raise InsufficientDataError(
-            f"need >= 5 usable observations, got {len(points)}"
-        )
-    ns, ratios = zip(*points)
-    slope, _, se, _ = fit_points(ns, ratios)
-    mean_ratio = sum(ratios) / len(ratios)
-    return slope, (slope - Z_95 * se, slope + Z_95 * se), mean_ratio
-
-
 TAIL_METHODS = {"hill": ("hill",), "mle": ("pareto-mle",),
                 "both": ("hill", "pareto-mle")}
+
+
+def _attempt(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), None), or (None, the reason) when ``fn``
+    refuses the data: every step of :func:`methodology_compare` that may
+    refuse is recorded this way."""
+    try:
+        return fn(*args, **kwargs), None
+    except ScaleMetricsError as exc:
+        return None, str(exc)
+
+
+def _tail_fit(method, dist, seed):
+    """The ``method`` tail fit of ``dist``, looked up in :mod:`.tails` when
+    it runs."""
+    if method == "hill":
+        k = max(tails.MIN_TAIL_POINTS, int(0.1 * len(dist.values)))
+        return tails.hill_estimator(dist, k=k, seed=seed)
+    return tails.pareto_mle_fit(dist, seed=seed)
 
 
 def methodology_compare(history, measure, fixed_window=None, quantile=0.9,
@@ -241,47 +258,33 @@ def methodology_compare(history, measure, fixed_window=None, quantile=0.9,
     selects the tail fits that are run; the Hill fit reads the top tenth
     (at least 10) of the per-author totals.
     """
-    methods = TAIL_METHODS[estimator]
     fixed_window = fixed_window or FixedWindow()
     team_a = team_windows(history, fixed_window.length)
     productions, unavailable = commit_productions(history, measure)
     obs_a = series_observations(team_a, productions)
 
-    arm_a = None
-    arm_a_error = None
-    try:
-        arm_a = fit_scaling_exponent(obs_a, use_binning=use_binning,
-                                     bins_per_decade=bins_per_decade)
-    except ScaleMetricsError as exc:
-        arm_a_error = str(exc)
+    arm_a, arm_a_error = _attempt(fit_scaling_exponent, obs_a, use_binning=use_binning,
+                                  bins_per_decade=bins_per_decade)
 
-    arm_b_slope = arm_b_ci = arm_b_mean = None
-    arm_b_error = None
-    arm_b_length = None
-    try:
-        arm_b_length = resolve_window_length(history, QuantileWindow(quantile))
-        obs_b = series_observations(team_windows(history, arm_b_length), productions)
-        arm_b_slope, arm_b_ci, arm_b_mean = _per_member_trend(obs_b)
-    except ScaleMetricsError as exc:
-        arm_b_error = str(exc)
+    arm_b = None
+    arm_b_length, arm_b_error = _attempt(resolve_window_length, history,
+                                         QuantileWindow(quantile))
+    if arm_b_error is None:
+        arm_b, arm_b_error = _attempt(lambda: fit_per_member(series_observations(
+            team_windows(history, arm_b_length), productions)))
+    arm_b_fit, arm_b_mean = arm_b or (None, None)
 
+    dist, dist_error = _attempt(tails.ContributionDistribution.from_productions,
+                                history, productions)
     tail_fits = {}
     tail_errors = {}
-    try:
-        dist = tails.ContributionDistribution.from_productions(history, productions)
-        if "hill" in methods:
-            try:
-                k = max(tails.MIN_TAIL_POINTS, int(0.1 * len(dist.values)))
-                tail_fits["hill"] = tails.hill_estimator(dist, k=k, seed=seed)
-            except ScaleMetricsError as exc:
-                tail_errors["hill"] = str(exc)
-        if "pareto-mle" in methods:
-            try:
-                tail_fits["pareto-mle"] = tails.pareto_mle_fit(dist, seed=seed)
-            except ScaleMetricsError as exc:
-                tail_errors["pareto-mle"] = str(exc)
-    except ScaleMetricsError as exc:
-        tail_errors.update(dict.fromkeys(methods, str(exc)))
+    for method in TAIL_METHODS[estimator]:
+        fit, error = (None, dist_error) if dist is None else _attempt(
+            _tail_fit, method, dist, seed)
+        if error is None:
+            tail_fits[method] = fit
+        else:
+            tail_errors[method] = error
 
     regimes = {
         method: tails.classify_regime(fit.mu).value
@@ -297,8 +300,8 @@ def methodology_compare(history, measure, fixed_window=None, quantile=0.9,
         arm_a=arm_a,
         arm_a_error=arm_a_error,
         arm_a_window_length=fixed_window.length,
-        arm_b_slope=arm_b_slope,
-        arm_b_ci=arm_b_ci,
+        arm_b_slope=arm_b_fit and arm_b_fit.beta,
+        arm_b_ci=arm_b_fit and (arm_b_fit.ci_low, arm_b_fit.ci_high),
         arm_b_mean_output_per_member=arm_b_mean,
         arm_b_error=arm_b_error,
         arm_b_window_length=arm_b_length,

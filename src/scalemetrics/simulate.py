@@ -30,6 +30,7 @@ from .ingest import ProjectHistory, _record
 from .scaling import ols
 from .windows import DAY
 
+#: the most events a branching stream generates; read when it runs
 DEFAULT_EVENT_CAP = 10**6
 AUTHOR_POOL = 100_000  # authors a heavy-tail participation history draws from
 
@@ -147,13 +148,13 @@ class BranchingModel:
     offspring_delay_scale: float  # mean trigger delay, seconds
     horizon: float  # simulated duration, seconds
     seed: int = 42
-    event_cap: int = DEFAULT_EVENT_CAP
 
     def __post_init__(self):
         if not 0 <= self.eta <= 1:
             raise ValueError("eta must be in [0, 1]")
-        if self.immigrant_rate <= 0 or self.offspring_delay_scale <= 0:
-            raise ValueError("rates and delay scales must be positive")
+        if not (0 < self.immigrant_rate < np.inf
+                and 0 < self.offspring_delay_scale < np.inf):
+            raise ValueError("rates and delay scales must be positive and finite")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
 
@@ -175,7 +176,7 @@ def simulate_branching_stream(model, participants, participation_mu,
     the horizon are dropped). Events are attributed to ``participants``
     authors with Pareto(participation_mu)-weighted probabilities. At
     eta = 1 cluster sizes have infinite mean, so generation stops at
-    ``model.event_cap`` with ``truncated`` set.
+    :data:`DEFAULT_EVENT_CAP` events with ``truncated`` set.
     """
     if participants < 1:
         raise ValueError("participants must be >= 1")
@@ -187,7 +188,7 @@ def simulate_branching_stream(model, participants, participation_mu,
     truncated = False
     i = 0
     while i < len(times):
-        if len(times) >= model.event_cap:
+        if len(times) >= DEFAULT_EVENT_CAP:
             truncated = True
             break
         k = rng.poisson(model.eta)
@@ -195,7 +196,7 @@ def simulate_branching_stream(model, participants, participation_mu,
             children = times[i] + rng.exponential(model.offspring_delay_scale, size=k)
             times.extend(t for t in children if t <= model.horizon)
         i += 1
-    times = sorted(times[: model.event_cap])
+    times = sorted(times[:DEFAULT_EVENT_CAP])
 
     weights = (1.0 - rng.random(participants)) ** (-1.0 / participation_mu)
     probs = weights / weights.sum()
@@ -228,8 +229,7 @@ def _window_commits(window_idx, window_length, count, rng, first_window):
     return ts
 
 
-def simulate_zipf_growth(N, alpha, max_n=None, window_length=5 * DAY, seed=42,
-                         project_name="zipf-growth-sim"):
+def simulate_zipf_growth(N, alpha, max_n=None, window_length=5 * DAY, seed=42):
     """History whose w-th window holds a Zipf team of size w.
 
     In window w (w = 1..max_n) members 1..w are active and member j makes
@@ -250,7 +250,7 @@ def simulate_zipf_growth(N, alpha, max_n=None, window_length=5 * DAY, seed=42,
         rng.shuffle(authors)
         times += ts.tolist()
         members += authors.tolist()
-    return _sim_history(project_name, "zipf", times, members)
+    return _sim_history("zipf-growth-sim", "zipf", times, members)
 
 
 def simulate_heavy_tail_participation(mu, n_windows=60, min_events=5,
@@ -266,6 +266,8 @@ def simulate_heavy_tail_participation(mu, n_windows=60, min_events=5,
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
+    if n_windows < 0:
+        raise ValueError(f"n_windows must be >= 0, got {n_windows}")
     counts = np.unique(
         np.round(np.logspace(np.log10(min_events), np.log10(max_events),
                              n_windows)).astype(int)

@@ -5,8 +5,10 @@ P(X > x) ~ x^-mu of per-developer totals. mu < 1 marks superlinear
 production (infinite-mean regime), mu < 1/2 superlinear productivity.
 Two estimators are provided: the Hill estimator on the k largest order
 statistics, and a cutoff-aware Pareto MLE that picks the lower cutoff by
-minimizing the Kolmogorov-Smirnov distance of the fitted tail. Confidence
-intervals come from a seeded bootstrap (200 resamples).
+minimizing the Kolmogorov-Smirnov distance of the fitted tail. Both
+estimate mu with one Pareto MLE, k / sum(ln(x / xmin)) over a tail of k
+values, and both confidence intervals come from one seeded percentile
+bootstrap (200 resamples).
 """
 
 from __future__ import annotations
@@ -110,13 +112,25 @@ def ccdf(distribution):
     return list(zip(xs.tolist(), (exceed / n).tolist()))
 
 
-def _hill_mu(sorted_desc, k):
-    top = sorted_desc[:k]
-    pivot = sorted_desc[k]
-    denom = np.sum(np.log(top / pivot))
-    if denom <= 0:
-        raise DegenerateDataError("degenerate tail: tied order statistics")
-    return k / denom
+def _pareto_mu(tail, xmin):
+    """Pareto MLE of mu for the values ``tail`` above ``xmin``:
+    len(tail) / sum(ln(tail / xmin)); None for a degenerate tail."""
+    denom = np.sum(np.log(tail / xmin))
+    return len(tail) / denom if denom > 0 else None
+
+
+def _bootstrap_ci(sample, statistic, point, seed):
+    """Seeded percentile bootstrap 95% CI of ``statistic`` over N_BOOTSTRAP
+    resamples of ``sample`` with replacement. Resamples where ``statistic``
+    is None are discarded; the CI is (point, point) if all are."""
+    rng = np.random.default_rng(seed)
+    boots = [statistic(rng.choice(sample, size=len(sample), replace=True))
+             for _ in range(N_BOOTSTRAP)]
+    boots = [b for b in boots if b is not None]
+    if not boots:
+        return float(point), float(point)
+    ci_low, ci_high = np.percentile(boots, [2.5, 97.5])
+    return float(ci_low), float(ci_high)
 
 
 def hill_estimator(distribution, k, seed=42):
@@ -128,28 +142,16 @@ def hill_estimator(distribution, k, seed=42):
         raise InsufficientDataError(f"k={k} below floor of {MIN_TAIL_POINTS}")
     if k >= n:
         raise InsufficientDataError(f"k={k} must be < sample size {n}")
-    sorted_desc = np.sort(values)[::-1]
-    mu = _hill_mu(sorted_desc, k)
-    rng = np.random.default_rng(seed)
-    boots = []
-    for _ in range(N_BOOTSTRAP):
-        resample = np.sort(rng.choice(values, size=n, replace=True))[::-1]
-        try:
-            boots.append(_hill_mu(resample, k))
-        except DegenerateDataError:
-            continue
-    if boots:
-        ci_low, ci_high = np.percentile(boots, [2.5, 97.5])
-    else:
-        ci_low = ci_high = mu
-    return TailFit(
-        method="hill",
-        mu=float(mu),
-        xmin=float(sorted_desc[k]),
-        k=k,
-        ci_low=float(ci_low),
-        ci_high=float(ci_high),
-    )
+
+    def top_k_mu(sample):  # the k largest values, above the (k+1)-th
+        sorted_desc = np.sort(sample)[::-1]
+        return _pareto_mu(sorted_desc[:k], sorted_desc[k])
+
+    mu = top_k_mu(values)
+    if mu is None:
+        raise DegenerateDataError("degenerate tail: tied order statistics")
+    return TailFit("hill", float(mu), float(np.sort(values)[n - 1 - k]), k,
+                   *_bootstrap_ci(values, top_k_mu, mu, seed))
 
 
 def _ks_best_fit(values_sorted, candidates):
@@ -208,26 +210,9 @@ def pareto_mle_fit(distribution, seed=42):
             f"no cutoff leaves >= {MIN_TAIL_POINTS} usable tail points"
         )
     xmin, mu, k, _ = best
-    tail = values[len(values) - k:]
-    rng = np.random.default_rng(seed)
-    boots = []
-    for _ in range(N_BOOTSTRAP):
-        resample = rng.choice(tail, size=k, replace=True)
-        denom = np.sum(np.log(resample / xmin))
-        if denom > 0:
-            boots.append(k / denom)
-    if boots:
-        ci_low, ci_high = np.percentile(boots, [2.5, 97.5])
-    else:
-        ci_low = ci_high = mu
-    return TailFit(
-        method="pareto-mle",
-        mu=mu,
-        xmin=xmin,
-        k=k,
-        ci_low=float(ci_low),
-        ci_high=float(ci_high),
-    )
+    return TailFit("pareto-mle", mu, xmin, k,
+                   *_bootstrap_ci(values[len(values) - k:],
+                                  lambda r: _pareto_mu(r, xmin), mu, seed))
 
 
 def productivity_exponent(mu):

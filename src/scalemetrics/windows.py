@@ -11,7 +11,8 @@ history's columns and keeps only the non-empty ones, so a short window over
 a long span costs no more than the commits it holds. A window count above
 2**53, where float64 window starts stop being distinct, is refused with
 DegenerateDataError. :func:`active_team_series` is the dense view that also
-lists the empty windows.
+lists the empty windows, one object each, so it refuses more than
+:data:`MAX_DENSE_WINDOWS` of them.
 """
 
 from __future__ import annotations
@@ -109,6 +110,10 @@ def resolve_window_length(history, definition):
 #: indices and starts no longer tell neighbouring windows apart
 MAX_WINDOWS = 2**53
 
+#: the most windows the dense :func:`active_team_series` lists; one empty
+#: :class:`ActivityWindow` takes ~160 B, so this bounds it near 160 MB
+MAX_DENSE_WINDOWS = 10**6
+
 
 @dataclass(frozen=True, eq=False)
 class TeamWindows:
@@ -171,6 +176,10 @@ def active_team_series(history, definition):
     """Tumbling windows covering [first_ts, last_ts], anchored at first_ts,
     empty windows included."""
     team = team_windows(history, resolve_window_length(history, definition))
+    if team.count > MAX_DENSE_WINDOWS:
+        raise DegenerateDataError(
+            f"the dense series would list {team.count} windows, more than "
+            f"{MAX_DENSE_WINDOWS}; team_windows keeps only the non-empty ones")
     authors = history.columns.authors
     members = [frozenset(map(authors.__getitem__, codes.tolist()))
                for codes in np.split(team.members, np.cumsum(team.n)[:-1])]

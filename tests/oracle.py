@@ -6,6 +6,8 @@ the analysis did before each commit's production was shared: one
 ``commit_production`` call per commit in every pass. The ``loop_*``
 functions are the per-commit Python loops that the columnar index
 (``ProjectHistory.columns``) and its array passes replaced.
+``per_member_trend`` is arm B's own copy of the fit, which arm B replaced
+by the arm-A fit of ln(P/n) on ln n.
 """
 
 import math
@@ -19,6 +21,7 @@ from scalemetrics.errors import (
 )
 from scalemetrics.ingest import AuthorId, ProjectHistory, _normalize_alias_map
 from scalemetrics.metrics import WindowObservation, commit_production
+from scalemetrics.scaling import Z_95, fit_points
 from scalemetrics.windows import ActivityWindow, FixedWindow, QuantileWindow
 
 
@@ -69,6 +72,21 @@ def per_pass_author_totals(history, measure):
     if not values:
         raise InsufficientDataError("no author has positive production")
     return values
+
+
+def per_member_trend(observations):
+    """(slope, CI, mean) of arm B: OLS of ln(P/n) on ln n over the windows
+    with n >= 1 and P > 0, and the mean P/n over them."""
+    points = [(o.n, o.production / o.n) for o in observations
+              if o.n >= 1 and o.production > 0]
+    if len(points) < 5:
+        raise InsufficientDataError(
+            f"need >= 5 usable observations, got {len(points)}"
+        )
+    ns, ratios = zip(*points)
+    slope, _, se, _ = fit_points(ns, ratios)
+    mean_ratio = sum(ratios) / len(ratios)
+    return slope, (slope - Z_95 * se, slope + Z_95 * se), mean_ratio
 
 
 def _nearest_rank(sorted_values, q):

@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 
 import scalemetrics
-from scalemetrics import cli, ingest
+from scalemetrics import cli, ingest, simulate
 from scalemetrics.cli import main, parse_duration
 from scalemetrics.errors import ConfigError
 from scalemetrics.metrics import csv_number
@@ -195,13 +195,25 @@ def test_simulate_rejects_invalid_team(tmp_path, capsys):
     assert "N^(1/alpha)" in capsys.readouterr().err
 
 
-def test_simulate_branching_truncation_flag(tmp_path):
+@pytest.mark.parametrize("argv, message", [
+    (["heavy-tail", "--windows", "-3"], "n_windows must be >= 0, got -3"),
+    (["branching", "--immigrant-rate", "inf"], "positive and finite"),
+    (["branching", "--immigrant-rate", "nan"], "positive and finite"),
+    (["branching", "--delay-scale", "inf"], "positive and finite"),
+])
+def test_simulate_rejects_out_of_range_parameters(argv, message, tmp_path, capsys):
+    assert main(["simulate", *argv, "-o", str(tmp_path / "bad.jsonl")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_simulate_branching_truncation_flag(tmp_path, monkeypatch):
+    monkeypatch.setattr(simulate, "DEFAULT_EVENT_CAP", 5000)
     out = tmp_path / "crit.jsonl"
     assert main(["simulate", "branching", "--eta", "1.0",
                  "--immigrant-rate", "0.01", "--horizon", "100000s",
                  "-o", str(out)]) == 0
     meta = json.loads(out.with_suffix(".jsonl.meta.json").read_text())
-    assert "truncated" in meta
+    assert meta["truncated"] is True
 
 
 def test_seed_repetition_identical_files(tmp_path):

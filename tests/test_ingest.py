@@ -241,10 +241,15 @@ def test_jsonl_malformed_payload_rejected(files, tmp_path, capsys):
     {"ts": "100"},
     {"ts": 10**400},  # an integer too large for a float
     {"parents": -1},
+    {"added": 10**400},  # not written back, nor an OverflowError in analyze
+    {"added": 10**23},  # not rounded to 99999999999999991611392
+    {"added": 2**52, "deleted": 2**52 + 1},  # each exact, the sum is not
+    '"added": ' + "9" * 5000,  # past int()'s digit limit; json.dumps refuses it
 ])
 def test_jsonl_malformed_field_rejected(field, tmp_path, capsys):
-    record = {"id": "b", "email": "a@x", "ts": 2, **field}
-    text = '{"id": "a", "email": "a@x", "ts": 1}\n' + json.dumps(record) + "\n"
+    record = (json.dumps({"id": "b", "email": "a@x", "ts": 2, **field})
+              if isinstance(field, dict) else '{"id": "b", "ts": 2, %s}' % field)
+    text = '{"id": "a", "email": "a@x", "ts": 1}\n' + record + "\n"
     with pytest.raises(ParseError) as exc:
         parse_jsonl(text)
     assert "line 2" in str(exc.value)
@@ -268,6 +273,21 @@ def test_log_negative_parent_count_rejected(tmp_path, capsys):
     assert root.commits[0].parent_count == 0
     root = parse_jsonl('{"id": "a", "email": "a@x", "ts": 1, "parents": 0}\n')
     assert root.commits[0].parent_count == 0
+
+
+def test_log_line_count_past_2_53_rejected(tmp_path, capsys):
+    text = log_entry("a", "a@x", 1) + log_entry("b", "b@x", 2, rows=[(10**400, 0, "f")])
+    with pytest.raises(ParseError, match="2[*][*]53") as exc:
+        parse_commit_log(text)
+    assert exc.value.line == 3
+    src = tmp_path / "big.log"
+    src.write_text(text)
+    assert main(["ingest", str(src)]) == 2
+    assert "line 3: " in capsys.readouterr().err
+    # 2**53 lines in all is still exact
+    rows = [(2**52, 0, "f"), (2**52, 0, "g")]
+    assert parse_commit_log(log_entry("a", "a@x", 1, rows=rows)).commits[0].lines_added \
+        == 2**53
 
 
 def test_jsonl_null_identity_fields_read_as_empty():
@@ -321,6 +341,19 @@ def test_malformed_alias_map_rejected(alias_map, named, tmp_path, capsys):
     aliases.write_text(json.dumps(alias_map))
     assert main(["ingest", str(src), "--alias-map", str(aliases)]) == 1
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", ['{"a@x": ', None, b"\xff"],
+                         ids=["not-json", "missing", "not-utf8"])
+def test_unreadable_alias_map_is_a_config_error(content, tmp_path, capsys):
+    src, aliases = tmp_path / "h.jsonl", tmp_path / "aliases.json"
+    src.write_text(write_jsonl(make_history([("a@x", 1)])))
+    if isinstance(content, str):
+        aliases.write_text(content)
+    elif content is not None:
+        aliases.write_bytes(content)
+    assert main(["ingest", str(src), "--alias-map", str(aliases)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: alias map {aliases}: ")
 
 
 def test_author_count_conservation(rng):

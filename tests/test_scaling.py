@@ -13,7 +13,7 @@ from scalemetrics.cli import render_text
 from scalemetrics.errors import DegenerateDataError, InsufficientDataError, ScaleMetricsError
 from scalemetrics.metrics import ProductionMeasure, WindowObservation
 from scalemetrics.scaling import (
-    _per_member_trend,
+    fit_per_member,
     fit_scaling_exponent,
     log_bin,
     methodology_compare,
@@ -23,7 +23,7 @@ from scalemetrics.simulate import simulate_zipf_growth
 from scalemetrics.windows import FixedWindow, QuantileWindow
 
 from conftest import make_history, random_history, random_payload_history
-from oracle import per_pass_author_totals, per_pass_window_observations
+from oracle import per_member_trend, per_pass_author_totals, per_pass_window_observations
 
 
 def obs_from(ns, ps):
@@ -111,8 +111,8 @@ def test_per_member_slope_identity():
     ns = rng.integers(1, 300, size=400)
     ps = ns**1.2 * rng.lognormal(0, 0.3, size=400)
     total = fit_scaling_exponent(obs_from(ns, ps))
-    per_member, _, _ = _per_member_trend(obs_from(ns, ps))
-    assert per_member == pytest.approx(total.beta - 1.0, abs=1e-9)
+    per_member, _ = fit_per_member(obs_from(ns, ps))
+    assert per_member.beta == pytest.approx(total.beta - 1.0, abs=1e-9)
 
 
 def test_methodology_compare_zipf_growth():
@@ -198,7 +198,7 @@ def test_methodology_compare_matches_per_pass_oracle(rng):
             fit = _outcome(fit_scaling_exponent, obs_a)
             assert (report.arm_a_error if isinstance(fit, str) else report.arm_a) == fit
             obs_b, _ = per_pass_window_observations(h, QuantileWindow(0.5), measure)
-            trend = _outcome(_per_member_trend, obs_b)
+            trend = _outcome(per_member_trend, obs_b)
             assert (report.arm_b_error if isinstance(trend, str) else
                     (report.arm_b_slope, report.arm_b_ci,
                      report.arm_b_mean_output_per_member)) == trend

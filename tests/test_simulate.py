@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import linregress
 
+from scalemetrics import simulate
 from scalemetrics.cli import main
 from scalemetrics.ingest import parse_jsonl, write_jsonl
 from scalemetrics.simulate import (
@@ -137,9 +138,10 @@ def test_branching_rejects_non_positive_participation_mu(mu):
         simulate_branching_stream(model, participants=10, participation_mu=mu)
 
 
-def test_branching_event_cap_truncates():
+def test_branching_event_cap_truncates(monkeypatch):
+    monkeypatch.setattr(simulate, "DEFAULT_EVENT_CAP", 5000)
     model = BranchingModel(eta=1.0, immigrant_rate=0.01, offspring_delay_scale=1.0,
-                           horizon=10**7, seed=2, event_cap=5000)
+                           horizon=10**7, seed=2)
     result = simulate_branching_stream(model, participants=10, participation_mu=0.9)
     assert result.truncated
     assert result.events <= 5000

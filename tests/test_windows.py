@@ -169,6 +169,12 @@ def test_windows_keep_only_nonempty():
     assert team.n.tolist() == [1, 1]
 
 
+def test_dense_series_is_bounded():
+    h = make_history([("a@x", 1000), ("b@x", 2000)])
+    with pytest.raises(DegenerateDataError, match="more than 1000000"):
+        active_team_series(h, FixedWindow(1e-6))
+
+
 def test_window_count_bound_is_two_to_the_53():
     at_bound = make_history([("a@x", 0), ("b@x", 2**53 - 1)])
     assert team_windows(at_bound, 1.0).count == 2**53
