@@ -5,57 +5,12 @@ team definitions, ranked-contribution (Zipf) oracles, and critical-cascade
 detection, with synthetic generators closing the loop for end-to-end tests.
 """
 
-from .cascades import branching_ratio, detect_cascades
-from .ingest import (
-    AuthorId,
-    CommitRecord,
-    ProjectHistory,
-    parse_commit_log,
-    parse_jsonl,
-    resolve_authors,
-    write_jsonl,
-)
-from .metrics import (
-    ProductionMeasure,
-    WindowObservation,
-    commit_production,
-    levenshtein_distance,
-    window_observations,
-)
-from .scaling import (
-    MethodologyReport,
-    ScalingFit,
-    fit_scaling_exponent,
-    log_bin,
-    methodology_compare,
-)
-from .simulate import (
-    BranchingModel,
-    ZipfTeamModel,
-    max_team_size,
-    sample_pareto,
-    simulate_branching_stream,
-    simulate_sum_scaling,
-    zipf_asymptotic_check,
-    zipf_total,
-)
-from .tails import (
-    ContributionDistribution,
-    Regime,
-    TailFit,
-    ccdf,
-    classify_regime,
-    hill_estimator,
-    pareto_mle_fit,
-    productivity_exponent,
-)
-from .windows import (
-    ActivityWindow,
-    FixedWindow,
-    QuantileWindow,
-    active_team_series,
-    inter_commit_quantile,
-    single_commit_share,
-)
+from .cascades import *
+from .ingest import *
+from .metrics import *
+from .scaling import *
+from .simulate import *
+from .tails import *
+from .windows import *
 
 __version__ = "0.1.0"

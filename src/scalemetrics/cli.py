@@ -57,9 +57,12 @@ def _default_seed():
     if env is None:
         return DEFAULT_SEED
     try:
-        return int(env)
+        seed = int(env)
     except ValueError:
         raise ConfigError(f"SCALEMETRICS_SEED must be an integer, got {env!r}") from None
+    if seed < 0:
+        raise ConfigError(f"SCALEMETRICS_SEED must be >= 0, got {env!r}")
+    return seed
 
 
 def _load_history(path, input_format, include_merges=False):
@@ -105,7 +108,7 @@ def cmd_ingest(args):
 
 
 def _check_analysis_flags(args):
-    """Refuse out-of-range analysis flags as usage errors."""
+    """The arm-A window; out-of-range analysis flags are usage errors."""
     if not 0 < args.quantile < 1:
         raise ConfigError(f"--quantile must be in (0, 1), got {args.quantile}")
     if args.tau is not None and not 0 < args.tau < math.inf:
@@ -113,15 +116,19 @@ def _check_analysis_flags(args):
     if args.bins_per_decade < 0:
         raise ConfigError(
             f"--bins-per-decade must be >= 0, got {args.bins_per_decade}")
+    try:
+        return FixedWindow(parse_duration(args.window))
+    except ConfigError as exc:
+        raise ConfigError(f"--window: {exc}") from None
 
 
-def _analyze_history(history, args):
+def _analyze_history(history, args, window):
     """Full per-project analysis bundle as a plain dict."""
     measure = ProductionMeasure.from_string(args.measure)
     report = scaling.methodology_compare(
         history,
         measure,
-        fixed_window=FixedWindow(parse_duration(args.window)),
+        fixed_window=window,
         quantile=args.quantile,
         use_binning=args.bins_per_decade > 0,
         bins_per_decade=args.bins_per_decade or 5,
@@ -129,11 +136,9 @@ def _analyze_history(history, args):
         estimator=args.estimator,
     )
     bundle = report.to_json()
-    try:
-        tau = args.tau if args.tau is not None else cascades.default_tau(history)
-        bundle["cascades"] = cascades.branching_ratio(history, tau).to_json()
-    except ScaleMetricsError as exc:
-        bundle["cascades"] = {"error": str(exc)}
+    stats, error = scaling._attempt(lambda: cascades.branching_ratio(history, (
+        cascades.default_tau(history) if args.tau is None else args.tau)))
+    bundle["cascades"] = {"error": error} if stats is None else stats.to_json()
     bundle["config"] = {
         "window": args.window,
         "quantile": args.quantile,
@@ -146,9 +151,9 @@ def _analyze_history(history, args):
 
 
 def cmd_analyze(args):
-    _check_analysis_flags(args)
+    window = _check_analysis_flags(args)
     history = _load_history(args.input, args.input_format)
-    bundle, report = _analyze_history(history, args)
+    bundle, report = _analyze_history(history, args, window)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "report.json").write_text(_json_dumps(bundle), encoding="utf-8")
@@ -178,7 +183,7 @@ def cmd_simulate(args):
             args.N, args.alpha, max_n=args.team_size,
             window_length=parse_duration(args.window), seed=args.seed,
         )
-        max_n = args.team_size or simulate.max_team_size(args.N, args.alpha)
+        max_n = len(history.authors)  # members 1..max_n all commit
         meta.update(
             alpha=args.alpha, N=args.N, max_n=max_n,
             S=simulate.zipf_total(args.N, args.alpha, max_n),
@@ -220,7 +225,7 @@ def cmd_simulate(args):
 
 
 def cmd_compare(args):
-    _check_analysis_flags(args)
+    window = _check_analysis_flags(args)
     corpus = sorted(Path(args.corpus_dir).glob("*.jsonl"))
     if not corpus:
         print(f"no *.jsonl files in {args.corpus_dir}", file=sys.stderr)
@@ -232,7 +237,7 @@ def cmd_compare(args):
     projects = []
     for path in corpus:
         name = path.stem
-        bundle, _ = _analyze_history(_load_history(path, "jsonl"), args)
+        bundle, _ = _analyze_history(_load_history(path, "jsonl"), args, window)
         (outdir / f"{name}.report.json").write_text(
             _json_dumps(bundle), encoding="utf-8"
         )
@@ -380,6 +385,8 @@ def main(argv=None):
         args = parser.parse_args(argv)
         if getattr(args, "seed", None) is None and hasattr(args, "seed"):
             args.seed = _default_seed()
+        elif getattr(args, "seed", 0) < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except SystemExit as exc:
         return exc.code or EXIT_OK

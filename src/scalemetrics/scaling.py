@@ -115,11 +115,11 @@ def ols(x, y):
 
 
 def fit_points(ns, ps):
-    """OLS of ln P on ln n; raises on degenerate input."""
+    """OLS of ln P on ln n over at least 5 points; raises on degenerate input."""
     ns = np.asarray(ns, dtype=float)
     ps = np.asarray(ps, dtype=float)
     if len(ns) < 5:
-        raise InsufficientDataError(f"need >= 5 points, got {len(ns)}")
+        raise InsufficientDataError(f"need >= 5 usable observations, got {len(ns)}")
     log_n = np.log(ns)
     log_p = np.log(ps)
     if np.ptp(log_n) == 0:
@@ -132,12 +132,7 @@ def _fit(points, binned):
     """The one fit of both arms: OLS of ln y on ln n over the (n, y)
     ``points``, with the 95% CI from the normal approximation on the slope
     standard error."""
-    if len(points) < 5:
-        raise InsufficientDataError(
-            f"need >= 5 usable observations, got {len(points)}"
-        )
-    ns, ys = zip(*points)
-    beta, intercept, se, r2 = fit_points(ns, ys)
+    beta, intercept, se, r2 = fit_points([n for n, _ in points], [y for _, y in points])
     return ScalingFit(
         beta=float(beta),
         intercept=float(intercept),

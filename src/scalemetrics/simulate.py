@@ -11,9 +11,11 @@
   participation) that emit the same history objects the ingest module
   produces, closing the loop for end-to-end tests.
 
-All three history generators make their commits through the parsers' one
-record constructor (one shared :class:`~scalemetrics.ingest.AuthorId` per
-author) and build each history once.
+Every Pareto draw goes through one inverse-CDF sampler. No generator makes
+more than :data:`DEFAULT_EVENT_CAP` commits: each truncates or refuses
+(ValueError) before it draws. All three history generators make their
+commits through the parsers' one record constructor (one shared
+:class:`~scalemetrics.ingest.AuthorId` per author) and build each history once.
 
 All generators take an integer seed; trials and windows draw from RNG
 streams derived from (seed, task index) so results do not depend on
@@ -30,7 +32,7 @@ from .ingest import ProjectHistory, _record
 from .scaling import ols
 from .windows import DAY
 
-#: the most events a branching stream generates; read when it runs
+#: the most events (commits) a generator makes; read when it runs
 DEFAULT_EVENT_CAP = 10**6
 AUTHOR_POOL = 100_000  # authors a heavy-tail participation history draws from
 
@@ -58,17 +60,13 @@ class ZipfTeamModel:
     n: int
 
     def __post_init__(self):
-        if self.N <= 0:
-            raise ValueError("N must be positive")
-        if not 0 < self.alpha < 1:
-            raise ValueError("alpha must be in (0, 1)")
+        bound = max_team_size(self.N, self.alpha)  # checks N and alpha
         if self.n < 1:
             raise ValueError("team size must be >= 1")
-        if self.n > self.N ** (1.0 / self.alpha) + 1e-9:
+        if self.n > bound:
             raise ValueError(
-                f"n={self.n} violates n <= N^(1/alpha) = "
-                f"{self.N ** (1.0 / self.alpha):.6g}: the last member must "
-                "contribute at least one commit"
+                f"n={self.n} violates n <= N^(1/alpha) = {bound}: the last "
+                "member must contribute at least one commit"
             )
 
     def contributions(self):
@@ -87,11 +85,15 @@ def zipf_total(N, alpha, n):
 
 def max_team_size(N, alpha):
     """Largest n with N / n^alpha >= 1, i.e. floor(N^(1/alpha))."""
-    if N < 1:
+    if not N >= 1:
         raise ValueError("N must be >= 1")
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
-    return int(np.floor(N ** (1.0 / alpha) + 1e-9))
+    with np.errstate(over="ignore"):
+        bound = np.float64(N) ** (1.0 / alpha)
+    if bound == np.inf:
+        raise ValueError(f"N^(1/alpha) must be finite, got N={N}, alpha={alpha}")
+    return int(np.floor(bound + 1e-9))
 
 
 def zipf_asymptotic_check(N, alpha, n_values):
@@ -107,6 +109,12 @@ def zipf_asymptotic_check(N, alpha, n_values):
     ]
 
 
+def _pareto(rng, mu, size):
+    """Pareto(mu) draws with xmin = 1 by inverse CDF, U^(-1/mu), P(X>x) = x^-mu;
+    U = 1 - rng.random() is uniform on (0, 1], which keeps every draw finite."""
+    return (1.0 - rng.random(size)) ** (-1.0 / mu)
+
+
 def sample_pareto(mu, xmin, count, seed):
     """Inverse-CDF Pareto sampling: X = xmin * U^(-1/mu), P(X>x) = (x/xmin)^-mu."""
     if mu <= 0:
@@ -115,9 +123,7 @@ def sample_pareto(mu, xmin, count, seed):
         raise ValueError("xmin must be positive")
     if count < 1:
         raise ValueError("count must be >= 1")
-    rng = np.random.default_rng(seed)
-    u = 1.0 - rng.random(count)  # uniform on (0, 1]: keeps samples finite
-    return xmin * u ** (-1.0 / mu)
+    return xmin * _pareto(np.random.default_rng(seed), mu, count)
 
 
 def simulate_sum_scaling(mu, n_values, seed=42):
@@ -131,9 +137,7 @@ def simulate_sum_scaling(mu, n_values, seed=42):
     n_values = list(n_values)
     medians = []
     for i, n in enumerate(n_values):
-        rng = np.random.default_rng([seed, i])
-        u = 1.0 - rng.random((100, n))
-        sums = np.sum(u ** (-1.0 / mu), axis=1)
+        sums = np.sum(_pareto(np.random.default_rng([seed, i]), mu, (100, n)), axis=1)
         medians.append(float(np.median(sums)))
     slope, _, _, _ = ols(np.log(n_values), np.log(medians))
     return float(slope)
@@ -176,7 +180,8 @@ def simulate_branching_stream(model, participants, participation_mu,
     the horizon are dropped). Events are attributed to ``participants``
     authors with Pareto(participation_mu)-weighted probabilities. At
     eta = 1 cluster sizes have infinite mean, so generation stops at
-    :data:`DEFAULT_EVENT_CAP` events with ``truncated`` set.
+    :data:`DEFAULT_EVENT_CAP` events with ``truncated`` set; past that many
+    immigrants, a uniform sample of them is drawn.
     """
     if participants < 1:
         raise ValueError("participants must be >= 1")
@@ -184,8 +189,8 @@ def simulate_branching_stream(model, participants, participation_mu,
         raise ValueError("participation_mu must be positive")
     rng = np.random.default_rng(model.seed)
     n_imm = rng.poisson(model.immigrant_rate * model.horizon)
-    times = list(np.sort(rng.random(n_imm) * model.horizon))
-    truncated = False
+    truncated = n_imm > DEFAULT_EVENT_CAP
+    times = list(np.sort(rng.random(min(n_imm, DEFAULT_EVENT_CAP)) * model.horizon))
     i = 0
     while i < len(times):
         if len(times) >= DEFAULT_EVENT_CAP:
@@ -198,7 +203,7 @@ def simulate_branching_stream(model, participants, participation_mu,
         i += 1
     times = sorted(times[:DEFAULT_EVENT_CAP])
 
-    weights = (1.0 - rng.random(participants)) ** (-1.0 / participation_mu)
+    weights = _pareto(rng, participation_mu, participants)
     probs = weights / weights.sum()
     authors = rng.choice(participants, size=len(times), p=probs)
     return BranchingStreamResult(
@@ -213,9 +218,17 @@ def _sim_history(project_name, prefix, times, authors):
     """History of one-line commits ``{prefix}-{i:07d}`` at ``times[i]`` by
     author ``dev{authors[i]}@sim``; commit i is line i + 1 of its JSONL."""
     shared = {}
+    identity = {a: (f"dev{a}@sim", f"dev {a}") for a in set(authors)}
     return ProjectHistory.build(project_name, [
-        _record(shared, i + 1, f"{prefix}-{i:07d}", f"dev{a}@sim", f"dev {a}", t, 1, 0)
+        _record(shared, i + 1, f"{prefix}-{i:07d}", *identity[a], t, 1, 0)
         for i, (t, a) in enumerate(zip(times, authors))])
+
+
+def _check_commit_count(commits):
+    """Refuse a history of more than :data:`DEFAULT_EVENT_CAP` commits."""
+    if commits > DEFAULT_EVENT_CAP:
+        raise ValueError("the history would exceed DEFAULT_EVENT_CAP = "
+                         f"{DEFAULT_EVENT_CAP} commits")
 
 
 def _window_commits(window_idx, window_length, count, rng, first_window):
@@ -233,19 +246,21 @@ def simulate_zipf_growth(N, alpha, max_n=None, window_length=5 * DAY, seed=42):
     """History whose w-th window holds a Zipf team of size w.
 
     In window w (w = 1..max_n) members 1..w are active and member j makes
-    round(N / j^alpha) commits, so per-window production tracks S(w) and
-    the production-scaling fit recovers the sublinear exponent 1 - alpha.
+    max(1, round(N / j^alpha)) commits, so per-window production tracks S(w)
+    and the production-scaling fit recovers the sublinear exponent 1 - alpha.
     """
     if max_n is None:
         max_n = max_team_size(N, alpha)
-    ZipfTeamModel(N=N, alpha=alpha, n=max_n)  # validate parameters
+    model = ZipfTeamModel(N=N, alpha=alpha, n=max_n)
+    # rank j commits in windows j..max_n, at least once in each
+    _check_commit_count(max_n * (max_n + 1) // 2)
+    per_rank = np.maximum(1, np.round(model.contributions()))
+    _check_commit_count(np.sum(per_rank * np.arange(max_n, 0, -1)))
+    per_rank = per_rank.astype(int)
     times, members = [], []
     for w in range(1, max_n + 1):
         rng = np.random.default_rng([seed, w])
-        per_member = np.maximum(
-            1, np.round(N * np.arange(1, w + 1, dtype=float) ** (-alpha))
-        ).astype(int)
-        authors = np.repeat(np.arange(1, w + 1), per_member)
+        authors = np.repeat(np.arange(1, w + 1), per_rank[:w])
         ts = _window_commits(w - 1, window_length, len(authors), rng, w == 1)
         rng.shuffle(authors)
         times += ts.tolist()
@@ -268,10 +283,12 @@ def simulate_heavy_tail_participation(mu, n_windows=60, min_events=5,
         raise ValueError("mu must be positive")
     if n_windows < 0:
         raise ValueError(f"n_windows must be >= 0, got {n_windows}")
-    counts = np.unique(
-        np.round(np.logspace(np.log10(min_events), np.log10(max_events),
-                             n_windows)).astype(int)
-    )
+    if n_windows > DEFAULT_EVENT_CAP:
+        raise ValueError(f"n_windows must be <= DEFAULT_EVENT_CAP = {DEFAULT_EVENT_CAP}")
+    counts = np.unique(np.round(np.logspace(np.log10(min_events),
+                                            np.log10(max_events), n_windows)))
+    _check_commit_count(np.sum(counts))
+    counts = counts.astype(int)
     order = np.random.default_rng([seed, 0]).permutation(len(counts))
     ranks = np.arange(1, AUTHOR_POOL + 1, dtype=float)
     probs = ranks ** (-1.0 / mu)

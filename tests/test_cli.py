@@ -9,7 +9,9 @@ import jsonschema
 import pytest
 
 import scalemetrics
-from scalemetrics import cli, ingest, simulate
+from scalemetrics import (
+    cascades, cli, ingest, metrics, scaling, simulate, tails, windows,
+)
 from scalemetrics.cli import main, parse_duration
 from scalemetrics.errors import ConfigError
 from scalemetrics.metrics import csv_number
@@ -97,16 +99,56 @@ def test_window_nan_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("flags", [
     ["--quantile", "1.5"], ["--quantile", "0"], ["--quantile", "nan"],
     ["--tau", "nan"], ["--tau", "inf"], ["--tau", "0"], ["--tau", "-5"],
-    ["--bins-per-decade", "-1"],
+    ["--bins-per-decade", "-1"], ["--window", "0"], ["--seed", "-1"],
 ])
 def test_out_of_range_analysis_flag_is_usage_error(command, flags, tmp_path, capsys):
     src = tmp_path / "h.jsonl"
     src.write_text("".join(f'{{"id": "c{i}", "email": "a@x", "ts": {i * 1000}}}\n'
                            for i in range(10)))
-    target = str(src if command == "analyze" else tmp_path)
-    assert main([command, target, "-o", str(tmp_path / "out"), *flags]) == 1
-    assert flags[0] in capsys.readouterr().err
+    # every flag is checked before the input is read, even a missing one
+    for target in (src if command == "analyze" else tmp_path, tmp_path / "missing"):
+        assert main([command, str(target), "-o", str(tmp_path / "out"), *flags]) == 1
+        assert flags[0] in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_is_usage_error(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "sim.jsonl"
+    assert main(["simulate", "branching", "-o", str(out), "--seed", "-3"]) == 1
+    assert "--seed" in capsys.readouterr().err
+    monkeypatch.setenv("SCALEMETRICS_SEED", "-3")
+    for argv in (["simulate", "branching", "-o", str(out)],
+                 ["analyze", str(tmp_path / "missing.jsonl")],
+                 ["compare", str(tmp_path)]):
+        assert main(argv) == 1
+        assert "SCALEMETRICS_SEED" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_package_root_exports_every_public_name():
+    # the 41 names the package root listed by hand before it re-exported
+    # each module's __all__
+    listed = {
+        "branching_ratio", "detect_cascades", "AuthorId", "CommitRecord",
+        "ProjectHistory", "parse_commit_log", "parse_jsonl", "resolve_authors",
+        "write_jsonl", "ProductionMeasure", "WindowObservation",
+        "commit_production", "levenshtein_distance", "window_observations",
+        "MethodologyReport", "ScalingFit", "fit_scaling_exponent", "log_bin",
+        "methodology_compare", "BranchingModel", "ZipfTeamModel",
+        "max_team_size", "sample_pareto", "simulate_branching_stream",
+        "simulate_sum_scaling", "zipf_asymptotic_check", "zipf_total",
+        "ContributionDistribution", "Regime", "TailFit", "ccdf",
+        "classify_regime", "hill_estimator", "pareto_mle_fit",
+        "productivity_exponent", "ActivityWindow", "FixedWindow",
+        "QuantileWindow", "active_team_series", "inter_commit_quantile",
+        "single_commit_share",
+    }
+    modules = (cascades, ingest, metrics, scaling, simulate, tails, windows)
+    public = {name: m for m in modules for name in m.__all__}
+    assert len(public) == sum(len(m.__all__) for m in modules)  # none shared
+    assert len(listed) == 41 and listed <= set(public)
+    for name, module in public.items():
+        assert getattr(scalemetrics, name) is getattr(module, name), name
 
 
 def _run_limited(argv, cwd):
@@ -200,6 +242,14 @@ def test_simulate_rejects_invalid_team(tmp_path, capsys):
     (["branching", "--immigrant-rate", "inf"], "positive and finite"),
     (["branching", "--immigrant-rate", "nan"], "positive and finite"),
     (["branching", "--delay-scale", "inf"], "positive and finite"),
+    # no generator draws past its event cap (10**6 commits)
+    (["heavy-tail", "--windows", "10000000"], "DEFAULT_EVENT_CAP = 1000000"),
+    (["heavy-tail", "--windows", "1000000"], "DEFAULT_EVENT_CAP = 1000000"),
+    (["zipf", "--N", "1e6", "--alpha", "0.1"], "DEFAULT_EVENT_CAP = 1000000"),
+    (["zipf", "--N", "1000", "--team-size", "1000"], "DEFAULT_EVENT_CAP = 1000000"),
+    (["zipf", "--N", "inf"], "N^(1/alpha) must be finite"),
+    (["zipf", "--N", "1e308"], "N^(1/alpha) must be finite"),
+    (["zipf", "--team-size", "3", "--N", "1e300"], "N^(1/alpha) must be finite"),
 ])
 def test_simulate_rejects_out_of_range_parameters(argv, message, tmp_path, capsys):
     assert main(["simulate", *argv, "-o", str(tmp_path / "bad.jsonl")]) == 2
@@ -209,11 +259,15 @@ def test_simulate_rejects_out_of_range_parameters(argv, message, tmp_path, capsy
 def test_simulate_branching_truncation_flag(tmp_path, monkeypatch):
     monkeypatch.setattr(simulate, "DEFAULT_EVENT_CAP", 5000)
     out = tmp_path / "crit.jsonl"
-    assert main(["simulate", "branching", "--eta", "1.0",
-                 "--immigrant-rate", "0.01", "--horizon", "100000s",
-                 "-o", str(out)]) == 0
-    meta = json.loads(out.with_suffix(".jsonl.meta.json").read_text())
-    assert meta["truncated"] is True
+    # at eta = 1, and with more immigrants due than the cap, of which only a
+    # sample of the cap's worth is drawn
+    for argv in (["--eta", "1.0", "--immigrant-rate", "0.01", "--horizon", "100000s"],
+                 ["--immigrant-rate", "1e9", "--horizon", "1e9s"]):
+        assert main(["simulate", "branching", *argv, "-o", str(out)]) == 0
+        meta = json.loads(out.with_suffix(".jsonl.meta.json").read_text())
+        assert meta["truncated"] is True
+        assert meta["events"] == len(out.read_text().splitlines()) == 5000
+    assert meta["immigrants"] > 10**17  # the Poisson count, not the sample
 
 
 def test_seed_repetition_identical_files(tmp_path):

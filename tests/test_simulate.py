@@ -45,6 +45,12 @@ def test_zipf_team_constraint_enforced():
     ZipfTeamModel(N=10.0, alpha=0.5, n=100)  # boundary OK
     with pytest.raises(ValueError):
         ZipfTeamModel(N=10.0, alpha=1.5, n=5)
+    # the bound is max_team_size's, an integer
+    with pytest.raises(ValueError, match=r"N\^\(1/alpha\) = 26:"):
+        ZipfTeamModel(N=10.0, alpha=0.7, n=27)
+    for N in (0.5, 0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            ZipfTeamModel(N=N, alpha=0.5, n=1)
 
 
 def test_zipf_total_increasing_and_concave():
@@ -57,6 +63,11 @@ def test_zipf_total_increasing_and_concave():
 def test_max_team_size():
     assert max_team_size(10, 0.5) == 100
     assert max_team_size(1, 0.7) == 1
+    # N^(1/alpha) must stay inside the float range
+    assert max_team_size(2.0 ** 511, 0.5) == 2**1022
+    for N in (np.inf, 1e308, 2.0 ** 512):
+        with pytest.raises(ValueError, match="must be finite"):
+            max_team_size(N, 0.5)
     # rank-25 member of the N=10, alpha=0.5 team contributes 2 commits
     assert 10 / 25**0.5 == pytest.approx(2.0)
 
@@ -147,6 +158,19 @@ def test_branching_event_cap_truncates(monkeypatch):
     assert result.events <= 5000
 
 
+@pytest.mark.parametrize("generate", [
+    lambda: simulate_zipf_growth(10.0, 0.5, max_n=30, seed=0),
+    lambda: simulate_heavy_tail_participation(0.7, n_windows=20, max_events=200, seed=5),
+])
+def test_history_generators_count_commits_exactly_before_drawing(generate, monkeypatch):
+    commits = len(generate())
+    monkeypatch.setattr(simulate, "DEFAULT_EVENT_CAP", commits)
+    assert len(generate()) == commits
+    monkeypatch.setattr(simulate, "DEFAULT_EVENT_CAP", commits - 1)
+    with pytest.raises(ValueError, match=f"DEFAULT_EVENT_CAP = {commits - 1}"):
+        generate()
+
+
 def test_zipf_growth_generator_shape():
     h = simulate_zipf_growth(10.0, 0.5, max_n=30, seed=0)
     assert len(h.authors) == 30
@@ -179,6 +203,14 @@ def test_generator_output_is_pinned(tmp_path, capsys):
         assert hashlib.sha256(write_jsonl(history).encode()).hexdigest() == digest
         # one shared AuthorId per author
         assert len({id(c.author) for c in history.commits}) == len(history.authors)
+    # the Pareto draws of sample_pareto and of the sum-scaling experiment
+    for data, digest in [
+        (sample_pareto(0.7, 1.0, 1000, seed=3).tobytes(),
+         "c6cc2194781cf1ce2ec5895b77f740427e880792391145231bcafdc1d5c83913"),
+        (repr(simulate_sum_scaling(0.7, [10, 100, 1000], seed=5)).encode(),
+         "1e2454d97ab44eb6843f63c40ab4a7df03c8e33068aa28f1254b07f22e987783"),
+    ]:
+        assert hashlib.sha256(data).hexdigest() == digest
     # generators that draw no events write an empty history
     for argv in (["heavy-tail", "--windows", "0"],
                  ["branching", "--immigrant-rate", "1e-6", "--horizon", "10s"]):
