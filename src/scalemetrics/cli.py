@@ -66,9 +66,9 @@ def _default_seed():
 
 
 def _load_history(path, input_format, include_merges=False):
-    text = Path(path).read_text(encoding="utf-8")
+    text = ingest._decode(Path(path).read_bytes())
     if input_format == "auto":
-        first = next((ln for ln in text.splitlines() if ln.strip()), "")
+        first = next((ln for ln in ingest._lines(text) if ln.strip()), "")
         input_format = "log" if first.startswith("C|") else "jsonl"
     parse = ingest.parse_commit_log if input_format == "log" else ingest.parse_jsonl
     return parse(text, project_name=Path(path).stem, include_merges=include_merges)
@@ -113,9 +113,9 @@ def _check_analysis_flags(args):
         raise ConfigError(f"--quantile must be in (0, 1), got {args.quantile}")
     if args.tau is not None and not 0 < args.tau < math.inf:
         raise ConfigError(f"--tau must be positive and finite, got {args.tau}")
-    if args.bins_per_decade < 0:
+    if not 0 <= args.bins_per_decade <= 2**53:  # log_bin overflows near 10**308
         raise ConfigError(
-            f"--bins-per-decade must be >= 0, got {args.bins_per_decade}")
+            f"--bins-per-decade must be in [0, 2**53], got {args.bins_per_decade}")
     try:
         return FixedWindow(parse_duration(args.window))
     except ConfigError as exc:
@@ -123,9 +123,9 @@ def _check_analysis_flags(args):
 
 
 def _analyze_history(history, args, window):
-    """Full per-project analysis bundle as a plain dict."""
+    """The full per-project report bundle, and arm A's observations."""
     measure = ProductionMeasure.from_string(args.measure)
-    report = scaling.methodology_compare(
+    bundle, observations = scaling.methodology_compare(
         history,
         measure,
         fixed_window=window,
@@ -135,7 +135,6 @@ def _analyze_history(history, args, window):
         seed=args.seed,
         estimator=args.estimator,
     )
-    bundle = report.to_json()
     stats, error = scaling._attempt(lambda: cascades.branching_ratio(history, (
         cascades.default_tau(history) if args.tau is None else args.tau)))
     bundle["cascades"] = {"error": error} if stats is None else stats.to_json()
@@ -147,18 +146,17 @@ def _analyze_history(history, args, window):
         "bins_per_decade": args.bins_per_decade,
         "seed": args.seed,
     }
-    return bundle, report
+    return bundle, observations
 
 
 def cmd_analyze(args):
     window = _check_analysis_flags(args)
     history = _load_history(args.input, args.input_format)
-    bundle, report = _analyze_history(history, args, window)
+    bundle, obs = _analyze_history(history, args, window)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "report.json").write_text(_json_dumps(bundle), encoding="utf-8")
     measure = ProductionMeasure.from_string(args.measure)
-    obs = report.arm_a_observations
     (outdir / "observations.csv").write_text(
         observations_to_csv(obs, measure), encoding="utf-8"
     )
@@ -170,9 +168,9 @@ def cmd_analyze(args):
         sys.stdout.write(_json_dumps(bundle))
     else:
         sys.stdout.write(render_text(bundle))
-    warnings = [e for e in (report.arm_a_error, report.arm_b_error) if e]
-    for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
+    for w in (bundle["arm_a"]["error"], bundle["arm_b"]["error"]):
+        if w:
+            print(f"warning: {w}", file=sys.stderr)
     return EXIT_OK
 
 

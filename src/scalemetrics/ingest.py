@@ -194,6 +194,22 @@ def _build(project_name, commits, line_nos):
         raise
 
 
+def _lines(text):
+    """The lines of ``text``, split as :func:`open` splits them: at ``\\n``,
+    ``\\r\\n`` and ``\\r`` only, not at U+0085, U+2028 or U+2029."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def _decode(data):
+    """UTF-8 ``data`` as text; a byte that is not UTF-8 is a ParseError on
+    its line, counted as :func:`_lines` counts lines."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # the bytes before it are UTF-8
+        raise ParseError(f"not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})",
+                         line=len(_lines(data[:exc.start].decode("utf-8")))) from None
+
+
 def _parse_numstat_field(raw, line_no):
     if raw == "-":  # binary file
         return 0
@@ -210,7 +226,7 @@ def parse_commit_log(text, project_name="project", include_merges=False):
     """Parse the pinned pipe-delimited commit-log format."""
     commits, line_nos = [], []
     authors = {}
-    lines = text.splitlines()
+    lines = _lines(text)
     i = 0
     while i < len(lines):
         line = lines[i]
@@ -271,7 +287,7 @@ def parse_jsonl(text, project_name="project", include_merges=False):
     """Parse the JSONL commit format."""
     commits, line_nos = [], []
     authors = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(_lines(text), start=1):
         if not line.strip():
             continue
         try:

@@ -4,16 +4,16 @@ Arm A ("fine-grained") fits ln P on ln n over short fixed windows (default
 5 days) and asks whether total production grows superlinearly (beta > 1).
 Arm B ("Scholtes-style") resolves a long window from the 0.9 quantile of
 pooled inter-commit gaps and reports the trend of mean per-member output
-P/n against n. The two arms answer different questions; the report says so
-explicitly. Both run one estimator, :func:`_fit`: arm B is the arm-A fit of
-ln(P/n) on ln n over its own windows, so the arms differ only in their
-windows and in P versus P/n.
+P/n against n. The two arms answer different questions; the ``report.json``
+dict of :func:`methodology_compare` says so explicitly. Both run one
+estimator, :func:`_fit`: arm B is the arm-A fit of ln(P/n) on ln n over its
+own windows, so the arms differ only in their windows and in P versus P/n.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ Z_95 = 1.959963984540054
 
 __all__ = [
     "ScalingFit",
-    "MethodologyReport",
     "ols",
     "log_bin",
     "fit_scaling_exponent",
@@ -158,67 +157,6 @@ def fit_per_member(observations):
     return _fit(points, False), sum(r for _, r in points) / len(points)
 
 
-@dataclass(frozen=True)
-class MethodologyReport:
-    """Side-by-side result of the two methodologies on one history.
-
-    ``arm_a`` is the production-scaling fit over short fixed windows;
-    ``arm_b`` is the per-member mean-output trend over the long
-    quantile-resolved window. Either arm may be None with its failure
-    reason recorded.
-    """
-
-    project_name: str
-    measure: str
-    arm_a: ScalingFit | None
-    arm_a_error: str | None
-    arm_a_window_length: float
-    arm_b_slope: float | None  # slope of ln(P/n) on ln n
-    arm_b_ci: tuple | None
-    arm_b_mean_output_per_member: float | None
-    arm_b_error: str | None
-    arm_b_window_length: float | None
-    tail_fits: dict  # method -> TailFit
-    tail_errors: dict  # method -> reason
-    regimes: dict  # method -> Regime value
-    single_commit_share: float
-    min_commit_inequality_holds: bool  # P(commits) >= n in every window
-    unavailable_commits: int
-    # arm A's non-empty windows, for observations.csv; not part of to_json
-    arm_a_observations: tuple = field(default=(), repr=False, compare=False)
-
-    def to_json(self):
-        return {
-            "project": self.project_name,
-            "measure": self.measure,
-            "arm_a": {
-                "description": "production scaling: ln P vs ln n, short fixed windows",
-                "window_length_seconds": self.arm_a_window_length,
-                "fit": self.arm_a.to_json() if self.arm_a else None,
-                "error": self.arm_a_error,
-            },
-            "arm_b": {
-                "description": (
-                    "Scholtes-style mean productivity: trend of ln(P/n) vs ln n, "
-                    "quantile-resolved long windows"
-                ),
-                "window_length_seconds": self.arm_b_window_length,
-                "per_member_slope": self.arm_b_slope,
-                "per_member_slope_ci": list(self.arm_b_ci) if self.arm_b_ci else None,
-                "mean_output_per_member": self.arm_b_mean_output_per_member,
-                "error": self.arm_b_error,
-            },
-            "tails": {
-                method: fit.to_json() for method, fit in sorted(self.tail_fits.items())
-            },
-            "tail_errors": dict(sorted(self.tail_errors.items())),
-            "regimes": dict(sorted(self.regimes.items())),
-            "single_commit_share": self.single_commit_share,
-            "min_commit_inequality_holds": self.min_commit_inequality_holds,
-            "unavailable_commits": self.unavailable_commits,
-        }
-
-
 TAIL_METHODS = {"hill": ("hill",), "mle": ("pareto-mle",),
                 "both": ("hill", "pareto-mle")}
 
@@ -247,11 +185,14 @@ def methodology_compare(history, measure, fixed_window=None, quantile=0.9,
                         estimator="both"):
     """Run both methodologies plus tail fits on the same history.
 
-    Each commit's production is computed once and shared by arm A, arm B
-    and the tail distribution; each arm windows the history once, keeping
-    only its non-empty windows. ``estimator`` ("hill", "mle" or "both")
-    selects the tail fits that are run; the Hill fit reads the top tenth
-    (at least 10) of the per-author totals.
+    Returns ``(report, arm_a_observations)``: the ``report.json`` bundle
+    less its ``cascades`` and ``config``, and arm A's windows for
+    ``observations.csv``. Either arm's fit may be null, with its reason in
+    its ``error``. Each commit's production is computed once and shared by
+    arm A, arm B and the tail distribution; each arm windows the history
+    once, keeping only its non-empty windows. ``estimator`` ("hill", "mle"
+    or "both") selects the tail fits that are run; the Hill fit reads the
+    top tenth (at least 10) of the per-author totals.
     """
     fixed_window = fixed_window or FixedWindow()
     team_a = team_windows(history, fixed_window.length)
@@ -271,40 +212,37 @@ def methodology_compare(history, measure, fixed_window=None, quantile=0.9,
 
     dist, dist_error = _attempt(tails.ContributionDistribution.from_productions,
                                 history, productions)
-    tail_fits = {}
-    tail_errors = {}
-    for method in TAIL_METHODS[estimator]:
-        fit, error = (None, dist_error) if dist is None else _attempt(
-            _tail_fit, method, dist, seed)
-        if error is None:
-            tail_fits[method] = fit
-        else:
-            tail_errors[method] = error
+    # method -> (fit, None) or (None, the reason), in sorted order
+    tail = {method: (None, dist_error) if dist is None
+            else _attempt(_tail_fit, method, dist, seed)
+            for method in TAIL_METHODS[estimator]}
+    tail_fits = {method: fit for method, (fit, _) in tail.items() if fit is not None}
 
-    regimes = {
-        method: tails.classify_regime(fit.mu).value
-        for method, fit in tail_fits.items()
-    }
-
-    # P >= n under the commit-count measure: every active author has a commit
-    inequality = bool(np.all(team_a.commit_count >= team_a.n))
-
-    return MethodologyReport(
-        project_name=history.project_name,
-        measure=measure.value,
-        arm_a=arm_a,
-        arm_a_error=arm_a_error,
-        arm_a_window_length=fixed_window.length,
-        arm_b_slope=arm_b_fit and arm_b_fit.beta,
-        arm_b_ci=arm_b_fit and (arm_b_fit.ci_low, arm_b_fit.ci_high),
-        arm_b_mean_output_per_member=arm_b_mean,
-        arm_b_error=arm_b_error,
-        arm_b_window_length=arm_b_length,
-        tail_fits=tail_fits,
-        tail_errors=tail_errors,
-        regimes=regimes,
-        single_commit_share=single_commit_share(history),
-        min_commit_inequality_holds=inequality,
-        unavailable_commits=unavailable,
-        arm_a_observations=tuple(obs_a),
-    )
+    return {
+        "project": history.project_name,
+        "measure": measure.value,
+        "arm_a": {
+            "description": "production scaling: ln P vs ln n, short fixed windows",
+            "window_length_seconds": fixed_window.length,
+            "fit": arm_a and arm_a.to_json(),
+            "error": arm_a_error,
+        },
+        "arm_b": {
+            "description": "Scholtes-style mean productivity: trend of ln(P/n) vs "
+                           "ln n, quantile-resolved long windows",
+            "window_length_seconds": arm_b_length,
+            "per_member_slope": arm_b_fit and arm_b_fit.beta,
+            "per_member_slope_ci": arm_b_fit and [arm_b_fit.ci_low, arm_b_fit.ci_high],
+            "mean_output_per_member": arm_b_mean,
+            "error": arm_b_error,
+        },
+        "tails": {method: fit.to_json() for method, fit in tail_fits.items()},
+        "tail_errors": {method: error for method, (_, error) in tail.items()
+                        if error is not None},
+        "regimes": {method: tails.classify_regime(fit.mu).value
+                    for method, fit in tail_fits.items()},
+        "single_commit_share": single_commit_share(history),
+        # P >= n under the commit-count measure: every active author has a commit
+        "min_commit_inequality_holds": bool(np.all(team_a.commit_count >= team_a.n)),
+        "unavailable_commits": unavailable,
+    }, obs_a

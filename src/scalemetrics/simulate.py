@@ -183,8 +183,9 @@ def simulate_branching_stream(model, participants, participation_mu,
     :data:`DEFAULT_EVENT_CAP` events with ``truncated`` set; past that many
     immigrants, a uniform sample of them is drawn.
     """
-    if participants < 1:
-        raise ValueError("participants must be >= 1")
+    if not 1 <= participants <= DEFAULT_EVENT_CAP:
+        raise ValueError("participants must be in [1, DEFAULT_EVENT_CAP = "
+                         f"{DEFAULT_EVENT_CAP}], got {participants}")
     if participation_mu <= 0:
         raise ValueError("participation_mu must be positive")
     rng = np.random.default_rng(model.seed)

@@ -100,6 +100,7 @@ def test_window_nan_is_usage_error(tmp_path, capsys):
     ["--quantile", "1.5"], ["--quantile", "0"], ["--quantile", "nan"],
     ["--tau", "nan"], ["--tau", "inf"], ["--tau", "0"], ["--tau", "-5"],
     ["--bins-per-decade", "-1"], ["--window", "0"], ["--seed", "-1"],
+    ["--bins-per-decade", str(10**308)], ["--bins-per-decade", str(10**309)],
 ])
 def test_out_of_range_analysis_flag_is_usage_error(command, flags, tmp_path, capsys):
     src = tmp_path / "h.jsonl"
@@ -126,14 +127,14 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, monkeypatch):
 
 
 def test_package_root_exports_every_public_name():
-    # the 41 names the package root listed by hand before it re-exported
-    # each module's __all__
+    # the names the package root listed by hand before it re-exported each
+    # module's __all__, less MethodologyReport, which no longer exists
     listed = {
         "branching_ratio", "detect_cascades", "AuthorId", "CommitRecord",
         "ProjectHistory", "parse_commit_log", "parse_jsonl", "resolve_authors",
         "write_jsonl", "ProductionMeasure", "WindowObservation",
         "commit_production", "levenshtein_distance", "window_observations",
-        "MethodologyReport", "ScalingFit", "fit_scaling_exponent", "log_bin",
+        "ScalingFit", "fit_scaling_exponent", "log_bin",
         "methodology_compare", "BranchingModel", "ZipfTeamModel",
         "max_team_size", "sample_pareto", "simulate_branching_stream",
         "simulate_sum_scaling", "zipf_asymptotic_check", "zipf_total",
@@ -146,7 +147,7 @@ def test_package_root_exports_every_public_name():
     modules = (cascades, ingest, metrics, scaling, simulate, tails, windows)
     public = {name: m for m in modules for name in m.__all__}
     assert len(public) == sum(len(m.__all__) for m in modules)  # none shared
-    assert len(listed) == 41 and listed <= set(public)
+    assert len(listed) == 40 and listed <= set(public)
     for name, module in public.items():
         assert getattr(scalemetrics, name) is getattr(module, name), name
 
@@ -268,6 +269,24 @@ def test_simulate_branching_truncation_flag(tmp_path, monkeypatch):
         assert meta["truncated"] is True
         assert meta["events"] == len(out.read_text().splitlines()) == 5000
     assert meta["immigrants"] > 10**17  # the Poisson count, not the sample
+
+
+def test_simulate_branching_participants_are_bounded(tmp_path, monkeypatch, capsys):
+    # no more authors than the event cap are drawn, refused before any draw
+    monkeypatch.setattr(simulate, "DEFAULT_EVENT_CAP", 5000)
+    model = simulate.BranchingModel(eta=0.5, immigrant_rate=0.002,
+                                    offspring_delay_scale=1.0, horizon=1e6, seed=1)
+    with pytest.raises(ValueError, match="DEFAULT_EVENT_CAP = 5000], got 5001"):
+        simulate.simulate_branching_stream(model, participants=5001,
+                                           participation_mu=0.7)
+    out = tmp_path / "sim.jsonl"
+    assert main(["simulate", "branching", "--participants", "5001", "-o", str(out)]) == 2
+    assert "participants must be in [1, DEFAULT_EVENT_CAP = 5000]" in \
+        capsys.readouterr().err
+    assert not out.exists()
+    assert simulate.simulate_branching_stream(model, participants=5000,
+                                              participation_mu=0.7).events > 0
+    assert main(["simulate", "branching", "--participants", "5000", "-o", str(out)]) == 0
 
 
 def test_seed_repetition_identical_files(tmp_path):
@@ -439,6 +458,26 @@ def test_analyze_deterministic_bytes(zipf_corpus, tmp_path):
         assert main(["analyze", str(zipf_corpus / "proj0.jsonl"),
                      "-o", str(out), "--seed", "42"]) == 0
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize("generator", [["heavy-tail", "--windows", "20"],
+                                       ["zipf", "--team-size", "30"]])
+def test_methodology_compare_returns_the_saved_report(generator, tmp_path):
+    src, out = tmp_path / "sim.jsonl", tmp_path / "out"
+    assert main(["simulate", *generator, "--seed", "5", "-o", str(src)]) == 0
+    assert main(["analyze", str(src), "-o", str(out), "--seed", "5"]) == 0
+    saved = json.loads((out / "report.json").read_text())
+    config = saved.pop("config")
+    del saved["cascades"]
+    measure = metrics.ProductionMeasure.from_string(config["measure"])
+    report, observations = scaling.methodology_compare(
+        ingest.parse_jsonl(src.read_text(), project_name=src.stem), measure,
+        fixed_window=windows.FixedWindow(parse_duration(config["window"])),
+        quantile=config["quantile"], bins_per_decade=config["bins_per_decade"],
+        seed=config["seed"], estimator=config["estimator"])
+    assert report == saved
+    assert metrics.observations_to_csv(observations, measure) == \
+        (out / "observations.csv").read_text()
 
 
 def test_compare_corpus_summary(zipf_corpus, tmp_path, capsys):

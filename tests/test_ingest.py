@@ -208,6 +208,51 @@ def test_jsonl_bad_line_reports_number():
     assert "line 2" in str(exc.value)
 
 
+@pytest.mark.parametrize("char", ["\u0085", "\u2028", "\u2029"])
+def test_unicode_line_separators_stay_in_their_line(char, tmp_path):
+    # str.splitlines() breaks at these, open() and a text editor do not
+    jsonl = json.dumps({"id": "a", "email": "a@x", "name": f"A{char}B", "ts": 1},
+                       ensure_ascii=False) + "\n"
+    log = log_entry("a", "a@x", 1, rows=[(1, 0, "f")], name=f"A{char}B")
+    for parse, text in [(parse_jsonl, jsonl), (parse_commit_log, log)]:
+        h = parse(text)
+        assert [c.raw_name for c in h.commits] == [f"A{char}B"]
+        assert parse_jsonl(write_jsonl(h)).commits == h.commits
+        src, out = tmp_path / "sep.txt", tmp_path / "out.jsonl"
+        src.write_text(text, encoding="utf-8")
+        assert main(["ingest", str(src), "-o", str(out)]) == 0
+        assert parse_jsonl(out.read_text(encoding="utf-8")).commits == h.commits
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_crlf_and_cr_keep_line_numbers(newline, tmp_path, capsys):
+    jsonl = '{"id": "a", "email": "a@x", "ts": 1}\n\n{nope}\n'
+    log = log_entry("ok", "a@x", 1) + "\nnot a header\n"
+    for parse, text, line in [(parse_jsonl, jsonl, 3), (parse_commit_log, log, 4)]:
+        text = text.replace("\n", newline)
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.line == line
+        assert len(parse(text.split(newline)[0] + newline)) == 1
+        src = tmp_path / "bad.txt"
+        src.write_bytes(text.encode())
+        assert main(["ingest", str(src)]) == 2
+        assert f"error: line {line}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+def test_byte_that_is_not_utf8_names_its_line(newline, tmp_path, capsys):
+    jsonl = b'{"id": "a", "email": "a@x", "ts": 1}\n{"id": "b", "name": "\xff"}\n'
+    log = b"C|a|a@x|A|1|1\n1\t0\tf\xff.py\n\n"
+    src = tmp_path / "bad.txt"
+    for data, fmt in [(jsonl, "jsonl"), (log, "log")]:
+        src.write_bytes(data.replace(b"\n", newline))
+        for argv in (["ingest", str(src)], ["ingest", str(src), "--input-format", fmt],
+                     ["analyze", str(src), "-o", str(tmp_path)]):
+            assert main(argv) == 2
+            assert "error: line 2: not UTF-8: byte 0xff" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("files", [
     ["x"],  # not an object
     [{"old": 5, "new": "ab"}],  # not a string

@@ -117,30 +117,30 @@ def test_per_member_slope_identity():
 
 def test_methodology_compare_zipf_growth():
     history = simulate_zipf_growth(10.0, 0.5, seed=4)
-    report = methodology_compare(history, ProductionMeasure.COMMITS)
-    assert report.arm_a is not None
-    assert 0.4 <= report.arm_a.beta <= 0.7  # sublinear, near 1 - alpha
-    assert report.arm_a.ci_high < 1.0
-    assert report.arm_b_slope is not None
-    assert report.arm_b_slope < 0  # mean per-member output falls with n
-    assert report.min_commit_inequality_holds
+    report, _ = methodology_compare(history, ProductionMeasure.COMMITS)
+    fit = report["arm_a"]["fit"]
+    assert fit is not None
+    assert 0.4 <= fit["beta"] <= 0.7  # sublinear, near 1 - alpha
+    assert fit["ci"][1] < 1.0
+    slope = report["arm_b"]["per_member_slope"]
+    assert slope is not None
+    assert slope < 0  # mean per-member output falls with n
+    assert report["min_commit_inequality_holds"]
 
 
 def test_methodology_compare_single_author():
     h = make_history([("solo@x", i * 1000.0) for i in range(20)])
-    report = methodology_compare(h, ProductionMeasure.COMMITS)
-    assert report.arm_a is None
-    assert "variance" in report.arm_a_error or "5" in report.arm_a_error
-    assert report.single_commit_share == 0.0
-    js = report.to_json()
-    assert js["arm_a"]["fit"] is None
-    assert js["arm_a"]["error"]
+    report, _ = methodology_compare(h, ProductionMeasure.COMMITS)
+    assert report["arm_a"]["fit"] is None
+    error = report["arm_a"]["error"]
+    assert "variance" in error or "5" in error
+    assert report["single_commit_share"] == 0.0
 
 
 def test_report_text_rendering():
     history = simulate_zipf_growth(10.0, 0.5, max_n=40, seed=4)
-    report = methodology_compare(history, ProductionMeasure.COMMITS)
-    text = render_text(report.to_json())
+    report, _ = methodology_compare(history, ProductionMeasure.COMMITS)
+    text = render_text(report)
     assert "arm A" in text and "arm B" in text
     assert "beta" in text
 
@@ -190,26 +190,31 @@ def test_methodology_compare_matches_per_pass_oracle(rng):
                                    span=size * 500.0)
         for measure in (ProductionMeasure.LEVENSHTEIN, ProductionMeasure.COMMITS,
                         ProductionMeasure.LOC_TOTAL):
-            report = methodology_compare(h, measure, fixed_window=window,
-                                         quantile=0.5, use_binning=False, seed=3)
+            report, observations = methodology_compare(
+                h, measure, fixed_window=window, quantile=0.5, use_binning=False,
+                seed=3)
             obs_a, unavailable = per_pass_window_observations(h, window, measure)
-            assert list(report.arm_a_observations) == obs_a
-            assert report.unavailable_commits == unavailable
+            assert observations == obs_a
+            assert report["unavailable_commits"] == unavailable
             fit = _outcome(fit_scaling_exponent, obs_a)
-            assert (report.arm_a_error if isinstance(fit, str) else report.arm_a) == fit
+            arm_a = report["arm_a"]
+            assert (arm_a["error"] == fit if isinstance(fit, str)
+                    else arm_a["fit"] == fit.to_json())
             obs_b, _ = per_pass_window_observations(h, QuantileWindow(0.5), measure)
             trend = _outcome(per_member_trend, obs_b)
-            assert (report.arm_b_error if isinstance(trend, str) else
-                    (report.arm_b_slope, report.arm_b_ci,
-                     report.arm_b_mean_output_per_member)) == trend
+            arm_b = report["arm_b"]
+            assert (arm_b["error"] if isinstance(trend, str) else
+                    (arm_b["per_member_slope"], tuple(arm_b["per_member_slope_ci"]),
+                     arm_b["mean_output_per_member"])) == trend
             dist = tails.ContributionDistribution(per_pass_author_totals(h, measure))
             k = max(tails.MIN_TAIL_POINTS, int(0.1 * len(dist.values)))
             expected = {"hill": _outcome(tails.hill_estimator, dist, k=k, seed=3),
                         "pareto-mle": _outcome(tails.pareto_mle_fit, dist, seed=3)}
-            got = {**report.tail_fits, **report.tail_errors}
-            assert got == expected
+            got = {**report["tails"], **report["tail_errors"]}
+            assert got == {m: v if isinstance(v, str) else v.to_json()
+                           for m, v in expected.items()}
             commit_obs, _ = per_pass_window_observations(h, window, ProductionMeasure.COMMITS)
-            assert report.min_commit_inequality_holds == \
+            assert report["min_commit_inequality_holds"] == \
                 all(o.production >= o.n for o in commit_obs)
 
 
@@ -223,14 +228,14 @@ def test_methodology_compare_matches_per_pass_oracle(rng):
 ], ids=["zipf", "few-authors"])
 def test_estimator_runs_only_the_selected_fit(history, estimator, kept, skipped,
                                               monkeypatch):
-    both = methodology_compare(history, ProductionMeasure.COMMITS).to_json()
+    both, _ = methodology_compare(history, ProductionMeasure.COMMITS)
 
     def not_selected(*args, **kwargs):
         raise AssertionError(f"{skipped} ran for --estimator {estimator}")
 
     monkeypatch.setattr(tails, skipped, not_selected)
-    one = methodology_compare(history, ProductionMeasure.COMMITS,
-                              estimator=estimator).to_json()
+    one, _ = methodology_compare(history, ProductionMeasure.COMMITS,
+                                 estimator=estimator)
     for key in ("tails", "tail_errors", "regimes"):
         both[key] = {m: v for m, v in both[key].items() if m == kept}
     assert one == both
