@@ -85,15 +85,9 @@ def _cascade_bounds(history, tau):
 def detect_cascades(history, tau):
     """Exhaustive, disjoint partition of commits into gap-bounded runs."""
     bounds = _cascade_bounds(history, tau).tolist()
-    commits = history.commits
-    return [
-        Cascade(
-            commit_ids=tuple(c.commit_id for c in commits[a:b]),
-            start_ts=commits[a].timestamp,
-            end_ts=commits[b - 1].timestamp,
-        )
-        for a, b in zip(bounds, bounds[1:])
-    ]
+    ids, ts = history.columns.ids.tolist(), history.columns.ts.tolist()
+    return [Cascade(commit_ids=tuple(ids[a:b]), start_ts=ts[a], end_ts=ts[b - 1])
+            for a, b in zip(bounds, bounds[1:])]
 
 
 def branching_ratio(history, tau):

@@ -65,11 +65,19 @@ def _default_seed():
     return seed
 
 
+def _sniff_format(text):
+    """"log" if the first line of ``text`` that is not blank under
+    ``str.strip`` starts with "C|", else "jsonl"; lines end where
+    :func:`ingest._lines` ends them, but the text is not split."""
+    first = len(text) - len(text.lstrip())  # the first character not blank
+    start = max(text.rfind("\n", 0, first), text.rfind("\r", 0, first)) + 1
+    return "log" if text.startswith("C|", start) else "jsonl"
+
+
 def _load_history(path, input_format, include_merges=False):
     text = ingest._decode(Path(path).read_bytes())
     if input_format == "auto":
-        first = next((ln for ln in ingest._lines(text) if ln.strip()), "")
-        input_format = "log" if first.startswith("C|") else "jsonl"
+        input_format = _sniff_format(text)
     parse = ingest.parse_commit_log if input_format == "log" else ingest.parse_jsonl
     return parse(text, project_name=Path(path).stem, include_merges=include_merges)
 
@@ -81,7 +89,7 @@ def _json_dumps(obj):
 def _history_summary(history):
     if len(history) == 0:
         return "0 commits"
-    span = history.commits[-1].timestamp - history.commits[0].timestamp
+    span = history.columns.ts[-1] - history.columns.ts[0]
     return (
         f"{len(history)} commits, {len(history.authors)} authors, "
         f"span {span / DAY:.1f} days"
@@ -114,8 +122,10 @@ def _check_analysis_flags(args):
     if args.tau is not None and not 0 < args.tau < math.inf:
         raise ConfigError(f"--tau must be positive and finite, got {args.tau}")
     if not 0 <= args.bins_per_decade <= 2**53:  # log_bin overflows near 10**308
-        raise ConfigError(
-            f"--bins-per-decade must be in [0, 2**53], got {args.bins_per_decade}")
+        value = str(args.bins_per_decade)  # argparse reads up to 4300 digits
+        if len(value) > 20:
+            value = f"{value[:8]}... ({len(value.lstrip('-'))} digits)"
+        raise ConfigError(f"--bins-per-decade must be in [0, 2**53], got {value}")
     try:
         return FixedWindow(parse_duration(args.window))
     except ConfigError as exc:

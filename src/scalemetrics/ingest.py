@@ -19,16 +19,18 @@ Two input formats are supported:
 Merge commits (parent_count >= 2) carry no numstat deltas and are excluded
 by default; pass ``include_merges=True`` to keep them.
 
-Both parsers, and the simulators in :mod:`scalemetrics.simulate`, make every
-:class:`CommitRecord` through one constructor, which gives each distinct
-author one shared :class:`AuthorId` object, looked up once per distinct raw
-(email, name), and reports a field the record refuses as a line-numbered
-:class:`ParseError`. :meth:`AuthorId.normalize` is the one rule that turns a
-raw identity into a canonical key. A load sorts and id-checks its history
-once, in :meth:`ProjectHistory.build`; :func:`resolve_authors` keeps the
-order it is given. The :class:`CommitRecord` rows of a :class:`ProjectHistory`
-are its source of truth; the analyses read its
-:attr:`~ProjectHistory.columns`, a columnar index built once on first use.
+A :class:`ProjectHistory` holds its commits as :class:`HistoryColumns`, the
+source of truth, which both parsers and the simulators in
+:mod:`scalemetrics.simulate` fill directly; the :class:`CommitRecord` rows,
+:attr:`ProjectHistory.commits`, are a view built on first use, and
+``ProjectHistory(name, commits)`` takes rows through
+:meth:`HistoryColumns.from_commits`. A record's rules are those
+:class:`CommitRecord` checks: the parsers check them a column at a time and
+make a record only to word the error of the first faulty line, as a
+line-numbered :class:`ParseError`. :meth:`AuthorId.normalize` is the one
+rule that turns a raw identity into a canonical key. A load sorts and
+id-checks its history once, in :meth:`ProjectHistory.build`;
+:func:`resolve_authors` keeps the order it is given.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -58,6 +59,10 @@ __all__ = [
 #: the largest added + deleted line count of a commit: the LOC measure reads
 #: it as a float64, which holds every integer up to 2**53 exactly
 MAX_LINES = 2**53
+
+#: the JSONL lines decoded and checked at a time; it bounds the decoded
+#: objects held at once
+_CHUNK = 4096
 
 
 @dataclass(frozen=True, order=True)
@@ -108,47 +113,123 @@ class CommitRecord:
 
 
 class HistoryColumns(NamedTuple):
-    """The per-commit columns the analyses read, in history order."""
+    """The per-commit columns of a history, in history order."""
 
     ts: np.ndarray  # float64 commit timestamps
     author: np.ndarray  # intp author codes, numbered in order of first appearance
-    authors: tuple  # the AuthorId of each code
+    authors: tuple  # the AuthorId of each author code
+    ids: np.ndarray  # object array of commit ids (str)
+    added: np.ndarray  # int64 lines added
+    deleted: np.ndarray  # int64 lines deleted
+    parents: np.ndarray  # object array of parent counts (int, of any size)
+    identity: np.ndarray  # intp raw-identity codes
+    identities: tuple  # the (raw_email, raw_name) of each identity code
+    payload: list | None  # each commit's (old, new) pairs or None; None if none has any
 
     @classmethod
     def from_commits(cls, commits):
-        codes = {}
-        author = np.fromiter(
-            (codes.setdefault(c.author.canonical_key, len(codes)) for c in commits),
-            dtype=np.intp, count=len(commits))
-        ts = np.fromiter((c.timestamp for c in commits), dtype=float,
-                         count=len(commits))
-        first = np.unique(author, return_index=True)[1]
-        return cls(ts, author, tuple(commits[i].author for i in first))
+        """The columns of the :class:`CommitRecord` rows ``commits``, the one
+        way from rows to columns; an author code's AuthorId is its first row's."""
+        authors, identities = {}, {}
+        for c in commits:
+            authors.setdefault(c.author.canonical_key, c.author)
+            identities.setdefault((c.raw_email, c.raw_name), len(identities))
+        codes = dict(zip(authors, range(len(authors))))
+        payload = [c.diff_payload for c in commits]
+        return cls(
+            np.array([c.timestamp for c in commits], dtype=float),
+            np.array([codes[c.author.canonical_key] for c in commits], dtype=np.intp),
+            tuple(authors.values()),
+            np.array([c.commit_id for c in commits], dtype=object),
+            np.array([c.lines_added for c in commits], dtype=np.int64),
+            np.array([c.lines_deleted for c in commits], dtype=np.int64),
+            np.array([c.parent_count for c in commits], dtype=object),
+            np.array([identities[c.raw_email, c.raw_name] for c in commits], dtype=np.intp),
+            tuple(identities),
+            None if payload.count(None) == len(payload) else payload)
+
+    def take(self, index):
+        """The columns of the commits at ``index`` (positions, or a boolean
+        mask), in that order; the author and identity tables keep the
+        entries in use, renumbered in order of first appearance."""
+        author, authors = _renumber(self.author[index], self.authors)
+        identity, identities = _renumber(self.identity[index], self.identities)
+        payload = None if self.payload is None else [
+            self.payload[i] for i in np.arange(len(self.ts))[index].tolist()]
+        return HistoryColumns(self.ts[index], author, authors, self.ids[index],
+                              self.added[index], self.deleted[index],
+                              self.parents[index], identity, identities, payload)
+
+    def identity_authors(self):
+        """(pairs, inverse): the distinct ((raw_email, raw_name), AuthorId)
+        pairs of the commits, and the position of each commit's pair."""
+        n = len(self.authors)
+        codes, inverse = np.unique(self.identity * n + self.author, return_inverse=True)
+        return ([(self.identities[c // n], self.authors[c % n]) for c in codes.tolist()],
+                inverse)
 
 
-@dataclass(frozen=True)
+def _renumber(codes, table):
+    """``codes`` renumbered 0, 1, ... in order of first appearance, and the
+    entries of ``table`` they use, in that order."""
+    used, first = np.unique(codes, return_index=True)
+    used = used[np.argsort(first)]
+    rank = np.zeros(len(table), dtype=np.intp)
+    rank[used] = np.arange(len(used))
+    return rank[codes], tuple(table[i] for i in used.tolist())
+
+
 class ProjectHistory:
-    project_name: str
-    commits: tuple[CommitRecord, ...] = ()
+    """A named commit history. Its :class:`HistoryColumns`, ``columns``,
+    are the source of truth; :attr:`commits` is their row view."""
+
+    def __init__(self, project_name, commits=()):
+        """``commits``: the :class:`CommitRecord` rows in history order, or
+        their :class:`HistoryColumns`."""
+        self.project_name = project_name
+        if isinstance(commits, HistoryColumns):
+            self.columns = commits
+        else:
+            self.commits = tuple(commits)
+            self.columns = HistoryColumns.from_commits(self.commits)
 
     @classmethod
     def build(cls, project_name, commits):
-        """Sort commits by timestamp and check commit-id uniqueness."""
-        commits = tuple(sorted(commits, key=attrgetter("timestamp", "commit_id")))
-        seen = set()
-        for c in commits:
-            if c.commit_id in seen:
-                raise ParseError(f"duplicate commit id {c.commit_id!r}")
-            seen.add(c.commit_id)
-        return cls(project_name, commits)
+        """The history of ``commits`` (rows, or columns, in any order) sorted
+        by (timestamp, commit id), each id checked unique."""
+        columns = cls(project_name, commits).columns
+        order = np.argsort(columns.ts, kind="stable")
+        if np.any(np.diff(columns.ts[order]) == 0):  # equal times: by id among them
+            ids = columns.ids.tolist()
+            order = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+            order = order[np.argsort(columns.ts[order], kind="stable")]
+        if len(set(columns.ids.tolist())) < len(columns.ids):
+            seen = set()
+            for commit_id in columns.ids[order].tolist():
+                if commit_id in seen:
+                    raise ParseError(f"duplicate commit id {commit_id!r}")
+                seen.add(commit_id)
+        if np.any(order != np.arange(len(order))):  # else the columns are in order
+            columns = columns.take(order)
+        return cls(project_name, columns)
 
     def __len__(self):
-        return len(self.commits)
+        return len(self.columns.ts)
 
     @cached_property
-    def columns(self):
-        """:class:`HistoryColumns` of the commits, built on first use."""
-        return HistoryColumns.from_commits(self.commits)
+    def commits(self):
+        """The :class:`CommitRecord` rows, built on first use; they share the
+        AuthorId objects of the columns."""
+        c, rows = self.columns, []
+        payload = c.payload or [None] * len(self)
+        for s in range(0, len(self), _CHUNK):  # a chunk's Python values at a time
+            cut = slice(s, s + _CHUNK)
+            rows += map(CommitRecord, c.ids[cut].tolist(),
+                        map(c.authors.__getitem__, c.author[cut].tolist()),
+                        c.ts[cut].tolist(), c.added[cut].tolist(), c.deleted[cut].tolist(),
+                        *zip(*map(c.identities.__getitem__, c.identity[cut].tolist())),
+                        c.parents[cut].tolist(), payload[cut])
+        return tuple(rows)
 
     @property
     def authors(self):
@@ -160,37 +241,41 @@ class ProjectHistory:
         return dict(zip(cols.authors, np.bincount(cols.author).tolist()))
 
 
-def _record(authors, line_no, commit_id, email, name, ts, added, deleted,
-            parents=1, payload=None):
-    """The one way a :class:`CommitRecord` is made. ``authors`` caches the
-    one AuthorId of each author of a history under both its raw (email, name)
-    pair and its canonical key; a field the record refuses (an empty
-    identity, a bad timestamp or count) is a ParseError on ``line_no``."""
+def _record(line_no, commit_id, email, name, ts, added, deleted, parents=1, payload=None):
+    """The :class:`CommitRecord` of one parsed record; a field the record
+    refuses (an empty identity, a bad timestamp or count) is a ParseError on
+    ``line_no``. The parsers make it only to word a faulty record's error."""
     try:
-        author = authors.get((email, name))
-        if author is None:
-            author = AuthorId.from_raw(email, name)
-            author = authors[email, name] = authors.setdefault(author.canonical_key,
-                                                               author)
-        return CommitRecord(commit_id, author, float(ts), added, deleted, email,
-                            name, parents, payload)
+        return CommitRecord(commit_id, AuthorId.from_raw(email, name), float(ts), added,
+                            deleted, email, name, parents, payload)
     except (ValueError, OverflowError) as exc:  # float() of a huge integer
         raise ParseError(str(exc), line=line_no) from None
 
 
-def _build(project_name, commits, line_nos):
-    """:meth:`ProjectHistory.build` of parsed records, ``line_nos[i]`` being
-    the line of ``commits[i]``; a duplicate id is a ParseError on the line of
-    its second record."""
+def _parsed(project_name, line_nos, identities, ids, ts, identity, added, deleted,
+            parents, payload):
+    """The sorted, id-checked history of checked records given column by
+    column in input order, ``line_nos[i]`` being the line of record i and
+    ``identities`` the (raw_email, raw_name) of each identity code, in code
+    order; a duplicate id is a ParseError on the line of its second record."""
+    authors = {}
+    author = np.array([authors.setdefault(AuthorId.normalize(*pair), len(authors))
+                       for pair in identities],
+                      dtype=np.intp)[np.asarray(identity, dtype=np.intp)]
+    columns = HistoryColumns(
+        np.asarray(ts, dtype=float), author, tuple(map(AuthorId, authors)),
+        np.array(ids, dtype=object), np.asarray(added, dtype=np.int64),
+        np.asarray(deleted, dtype=np.int64), np.array(parents, dtype=object),
+        np.asarray(identity, dtype=np.intp), tuple(identities), payload)
     try:
-        return ProjectHistory.build(project_name, commits)
+        return ProjectHistory.build(project_name, columns)
     except ParseError:
         seen = set()
-        for c, line_no in zip(commits, line_nos):
-            if c.commit_id in seen:
-                raise ParseError(f"duplicate commit id {c.commit_id!r}",
+        for commit_id, line_no in zip(ids, line_nos):
+            if commit_id in seen:
+                raise ParseError(f"duplicate commit id {commit_id!r}",
                                  line=line_no) from None
-            seen.add(c.commit_id)
+            seen.add(commit_id)
         raise
 
 
@@ -224,8 +309,8 @@ def _parse_numstat_field(raw, line_no):
 
 def parse_commit_log(text, project_name="project", include_merges=False):
     """Parse the pinned pipe-delimited commit-log format."""
-    commits, line_nos = [], []
-    authors = {}
+    line_nos, ids, ts, identity, added, deleted, parents = [], [], [], [], [], [], []
+    identities = {}
     lines = _lines(text)
     i = 0
     while i < len(lines):
@@ -241,25 +326,37 @@ def parse_commit_log(text, project_name="project", include_merges=False):
         if not commit_id:
             raise ParseError("empty commit id", line=header_no)
         try:
-            ts = float(ts_raw)
-            parents = int(parents_raw)
+            when = float(ts_raw)
+            parent_count = int(parents_raw)
         except ValueError:
             raise ParseError(f"malformed header {line!r}", line=header_no) from None
-        added = deleted = 0
+        lines_added = lines_deleted = 0
         i += 1
         while i < len(lines) and lines[i].strip():
             cols = lines[i].split("\t")
             if len(cols) < 3:
                 raise ParseError(f"malformed numstat row {lines[i]!r}", line=i + 1)
-            added += _parse_numstat_field(cols[0], i + 1)
-            deleted += _parse_numstat_field(cols[1], i + 1)
+            lines_added += _parse_numstat_field(cols[0], i + 1)
+            lines_deleted += _parse_numstat_field(cols[1], i + 1)
             i += 1
-        if parents >= 2 and not include_merges:
+        if parent_count >= 2 and not include_merges:
             continue
-        commits.append(_record(authors, header_no, commit_id, email, name, ts,
-                               added, deleted, parents))
+        known = len(identities)
+        code = identities.setdefault((email, name), known)
+        if (code == known and not AuthorId.normalize(email, name)
+                or not (0 <= when < math.inf and lines_added + lines_deleted <= MAX_LINES
+                        and parent_count >= 0)):
+            _record(header_no, commit_id, email, name, when, lines_added, lines_deleted,
+                    parent_count)  # raises the record's error
         line_nos.append(header_no)
-    return _build(project_name, commits, line_nos)
+        ids.append(commit_id)
+        ts.append(when)
+        identity.append(code)
+        added.append(lines_added)
+        deleted.append(lines_deleted)
+        parents.append(parent_count)
+    return _parsed(project_name, line_nos, identities, ids, ts, identity, added, deleted,
+                   parents, None)
 
 
 def _parse_payload(files, line_no):
@@ -278,66 +375,163 @@ def _parse_payload(files, line_no):
     return tuple(payload)
 
 
-# the JSON types each record field may take; a bool is not an integer here
-_FIELD_TYPES = {"id": (str,), "email": (str, type(None)), "name": (str, type(None)),
-                "ts": (int, float), "added": (int,), "deleted": (int,), "parents": (int,)}
+# the JSON types each record field may take, and the value a missing one
+# reads as; a bool is not an integer here
+_FIELDS = {"id": ((str,), None), "email": ((str, type(None)), None),
+           "name": ((str, type(None)), None), "ts": ((int, float), None),
+           "added": ((int,), 0), "deleted": ((int,), 0), "parents": ((int,), 1)}
+
+
+def _check_jsonl_record(obj, line_no, include_merges):
+    """Check one decoded JSONL record rule by rule, in the order the format
+    states them; the first rule it breaks is a ParseError on ``line_no``."""
+    if not isinstance(obj, dict) or "id" not in obj or "ts" not in obj:
+        raise ParseError("record must be an object with 'id' and 'ts'", line=line_no)
+    for key, (types, _) in _FIELDS.items():
+        if key in obj and type(obj[key]) not in types:
+            raise ParseError(f"bad {key!r}: {json.dumps(obj[key])}", line=line_no)
+    files = obj.get("files")
+    payload = None if files is None else _parse_payload(files, line_no)
+    parents = obj.get("parents", 1)
+    if parents < 2 or include_merges:
+        _record(line_no, obj["id"], obj.get("email") or "", obj.get("name") or "",
+                obj["ts"], obj.get("added", 0), obj.get("deleted", 0), parents, payload)
+
+
+def _jsonl_columns(objs, line_nos, include_merges, identities):
+    """The kept records of the decoded JSONL ``objs`` (on ``line_nos``) as
+    the columns (line_nos, ids, ts, identity, added, deleted, parents,
+    payload), each rule of :func:`_check_jsonl_record` checked once per
+    column; None if a record breaks one. ``identities`` numbers each raw
+    (email, name) met so far."""
+    if not {dict}.issuperset(map(type, objs)):
+        return None
+    columns = [[o.get(key, default) for o in objs] for key, (_, default) in _FIELDS.items()]
+    if not all(set(map(type, column)).issubset(types)
+               for column, (types, _) in zip(columns, _FIELDS.values())):
+        return None
+    ids, emails, names, ts, added, deleted, parents = columns
+    payload = [o.get("files") for o in objs]
+    if payload.count(None) == len(payload):
+        payload = None
+    else:
+        try:
+            payload = [None if f is None else _parse_payload(f, None) for f in payload]
+        except ParseError:
+            return None
+    if not include_merges and max(parents, default=1) >= 2:
+        keep = [p < 2 for p in parents]
+        line_nos, ids, emails, names, ts, added, deleted, parents = (
+            [v for v, k in zip(column, keep) if k]
+            for column in (line_nos, ids, emails, names, ts, added, deleted, parents))
+        payload = payload and [v for v, k in zip(payload, keep) if k]
+    try:
+        ts = np.fromiter(map(float, ts), dtype=float, count=len(ts))
+        added = np.array(added, dtype=np.int64)
+        deleted = np.array(deleted, dtype=np.int64)
+    except OverflowError:  # a count past int64 is past MAX_LINES too
+        return None
+    total = added + deleted  # wraps only where a count is past MAX_LINES
+    if ("" in ids or not np.all((ts >= 0) & (ts < math.inf)) or min(parents, default=0) < 0
+            or np.any((added < 0) | (deleted < 0) | (added > MAX_LINES)
+                      | (deleted > MAX_LINES) | (total > MAX_LINES))):
+        return None
+    if None in emails or None in names:  # a null email or name reads as ""
+        emails, names = [e or "" for e in emails], [n or "" for n in names]
+    pairs = list(zip(emails, names))
+    known = len(identities)
+    for pair in dict.fromkeys(pairs):
+        identities.setdefault(pair, len(identities))
+    if not all(AuthorId.normalize(*pair) for pair in list(identities)[known:]):
+        return None
+    identity = np.array(list(map(identities.__getitem__, pairs)), dtype=np.intp)
+    return line_nos, ids, ts, identity, added, deleted, parents, payload
+
+
+def _json_line(scan, line):
+    """``json.loads(line)``: the value that the decoder's ``scan`` reads
+    from the line's start when it ends the line, else what json.loads
+    makes of the line (a value after leading whitespace, or the error)."""
+    try:
+        value, end = scan(line, 0)
+        if end == len(line):
+            return value
+    except (StopIteration, ValueError):
+        pass
+    return json.loads(line)
 
 
 def parse_jsonl(text, project_name="project", include_merges=False):
-    """Parse the JSONL commit format."""
-    commits, line_nos = [], []
-    authors = {}
-    for line_no, line in enumerate(_lines(text), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except ValueError as exc:  # also an integer past Python's digit limit
-            raise ParseError(f"bad JSON: {getattr(exc, 'msg', exc)}",
-                             line=line_no) from None
-        if not isinstance(obj, dict) or "id" not in obj or "ts" not in obj:
-            raise ParseError("record must be an object with 'id' and 'ts'", line=line_no)
-        for key, types in _FIELD_TYPES.items():
-            if key in obj and type(obj[key]) not in types:
-                raise ParseError(f"bad {key!r}: {json.dumps(obj[key])}", line=line_no)
-        files = obj.get("files")
-        payload = None if files is None else _parse_payload(files, line_no)
-        parents = obj.get("parents", 1)
-        if parents >= 2 and not include_merges:
-            continue
-        commits.append(_record(authors, line_no, obj["id"], obj.get("email") or "",
-                               obj.get("name") or "", obj["ts"], obj.get("added", 0),
-                               obj.get("deleted", 0), parents, payload))
-        line_nos.append(line_no)
-    return _build(project_name, commits, line_nos)
+    """Parse the JSONL commit format.
+
+    Lines are decoded one by one, :data:`_CHUNK` at a time, and each chunk's
+    fields are checked a column at a time; a chunk that holds a faulty
+    record is checked again record by record, so the error is that of its
+    first faulty line, worded as the record check words it.
+    """
+    chunks, identities = [], {}
+    scan = json.JSONDecoder().scan_once
+    lines = _lines(text)
+    for start in range(0, len(lines), _CHUNK):
+        objs, line_nos, error = [], [], None
+        for line_no, line in enumerate(lines[start:start + _CHUNK], start + 1):
+            if not line.strip():
+                continue
+            try:
+                objs.append(_json_line(scan, line))
+            except ValueError as exc:  # also an integer past Python's digit limit
+                error = ParseError(f"bad JSON: {getattr(exc, 'msg', exc)}", line=line_no)
+                break
+            line_nos.append(line_no)
+        columns = _jsonl_columns(objs, line_nos, include_merges, identities)
+        if columns is None:  # the record check raises at the first faulty record
+            for obj, line_no in zip(objs, line_nos):
+                _check_jsonl_record(obj, line_no, include_merges)
+            raise AssertionError(f"lines {line_nos[0]}-{line_nos[-1]}: the column "
+                                 "checks refused records the record check accepts")
+        if error is not None:  # after the lines before it have been checked
+            raise error
+        chunks.append(columns)
+    line_nos, ids, ts, identity, added, deleted, parents, payloads = zip(*chunks)
+    payload = None
+    if any(p is not None for p in payloads):
+        payload = [x for p, n in zip(payloads, line_nos) for x in p or [None] * len(n)]
+    return _parsed(project_name, [x for c in line_nos for x in c], identities,
+                   [x for c in ids for x in c], np.concatenate(ts),
+                   np.concatenate(identity), np.concatenate(added),
+                   np.concatenate(deleted), [x for c in parents for x in c], payload)
 
 
 def write_jsonl(history):
-    """Serialize to the canonical JSONL form (the inverse of parse_jsonl).
+    """Serialize to the canonical JSONL form (the inverse of parse_jsonl):
+    each line is the ``json.dumps`` of the commit's record, written from the
+    columns.
 
     A commit whose author was aliased by :func:`resolve_authors` is written
     with the canonical key as its email, so that parsing the output again
     yields the same authors without the alias map.
     """
-    out = []
-    for c in history.commits:
-        email = c.raw_email
-        if not email or AuthorId.normalize(email, c.raw_name) != c.author.canonical_key:
-            email = c.author.canonical_key
-        obj = {
-            "id": c.commit_id,
-            "email": email,
-            "name": c.raw_name,
-            "ts": c.timestamp,
-            "added": c.lines_added,
-            "deleted": c.lines_deleted,
-        }
-        if c.parent_count != 1:
-            obj["parents"] = c.parent_count
-        if c.diff_payload is not None:
-            obj["files"] = [{"old": o, "new": n} for o, n in c.diff_payload]
-        out.append(json.dumps(obj, sort_keys=False))
-    return "\n".join(out) + ("\n" if out else "")
+    cols = history.columns
+    if not len(cols.ts):
+        return ""
+    quote = json.encoder.encode_basestring_ascii  # as json.dumps quotes a str
+    pairs, inverse = cols.identity_authors()
+    middles = []  # the email, name and "ts" key of each (identity, author) pair
+    for (email, name), author in pairs:
+        if not email or AuthorId.normalize(email, name) != author.canonical_key:
+            email = author.canonical_key
+        middles.append(f', "email": {quote(email)}, "name": {quote(name)}, "ts": ')
+    ends = [""] * len(cols.ts)  # the "parents" and "files" members
+    for i in np.flatnonzero(cols.parents != 1).tolist():
+        ends[i] = f', "parents": {cols.parents[i]}'
+    for i, payload in enumerate(cols.payload or ()):
+        if payload is not None:
+            files = [{"old": old, "new": new} for old, new in payload]
+            ends[i] += f', "files": {json.dumps(files)}'
+    lines = map('{{"id": {}{}{!r}, "added": {}, "deleted": {}{}}}'.format,
+                map(quote, cols.ids.tolist()), [middles[k] for k in inverse.tolist()],
+                cols.ts.tolist(), cols.added.tolist(), cols.deleted.tolist(), ends)
+    return "\n".join(lines) + "\n"
 
 
 def _normalize_alias_map(alias_map):
@@ -368,27 +562,36 @@ def resolve_authors(history, alias_map=None, drop_authors=()):
     ``alias_map`` maps a raw identity (email or name, matched after
     trim/lowercase) to its canonical replacement; chains are followed.
     ``drop_authors`` is a deny-list of canonical keys (e.g. bots) whose
-    commits are removed. The kept records stay in the history's order:
-    dropping and relabelling records cannot unsort it or duplicate an id.
+    commits are removed. Each distinct (raw identity, author) pair of the
+    columns is resolved once, and the commits are filtered by mask, so the
+    kept ones stay in the history's order. When nothing changes, the history
+    itself is returned.
     """
     aliases = {} if alias_map is None else _normalize_alias_map(alias_map)
     drop = {AuthorId.normalize(str(a)) for a in drop_authors}
-    resolved = {}  # (raw_email, raw_name, key) -> AuthorId, None if dropped
-    shared = {}  # resolved key -> its one AuthorId
-    commits = []
-    for c in history.commits:
-        current = c.author.canonical_key
-        identity = (c.raw_email, c.raw_name, current)
-        if identity not in resolved:
-            key = AuthorId.normalize(c.raw_email, c.raw_name) or current
-            while key in aliases:
-                key = aliases[key]
-            resolved[identity] = None if key in drop else shared.setdefault(
-                key, c.author if key == current else AuthorId(key))
-        author = resolved[identity]
-        if author is None:
-            continue
-        # a record whose key is unchanged is kept as it is
-        commits.append(c if author.canonical_key == current
-                       else replace(c, author=author))
-    return ProjectHistory(history.project_name, tuple(commits))
+    cols = history.columns
+    pairs, inverse = cols.identity_authors()
+    shared = {a.canonical_key: a for a in cols.authors}  # key -> its one AuthorId
+    resolved = []  # the AuthorId of each pair, None if dropped
+    for (email, name), author in pairs:
+        key = AuthorId.normalize(email, name) or author.canonical_key
+        while key in aliases:
+            key = aliases[key]
+        resolved.append(None if key in drop else shared.get(key)
+                        or shared.setdefault(key, AuthorId(key)))
+    if all(new is author for new, (_, author) in zip(resolved, pairs)):
+        return history
+    codes = {}
+    author = np.array([-1 if a is None else codes.setdefault(a, len(codes))
+                       for a in resolved], dtype=np.intp)[inverse]
+    keep = author >= 0
+    result = ProjectHistory(history.project_name,
+                            cols._replace(author=author, authors=tuple(codes)).take(keep))
+    if "commits" in vars(history):
+        # rows already built: a kept row whose author is unchanged stays as it is
+        new = result.columns
+        result.commits = tuple(
+            c if c.author == a else replace(c, author=a)
+            for c, a in zip((c for c, k in zip(history.commits, keep.tolist()) if k),
+                            map(new.authors.__getitem__, new.author.tolist())))
+    return result

@@ -15,9 +15,11 @@ Python int, so a pair costs about ceil(m/64)*n word operations for a
 shorter side of m bytes and a longer side of n bytes.
 
 Each commit's production is computed once per analysis by
-:func:`commit_productions`; arm A, arm B and the tail distribution all read
-that one per-commit list. :func:`series_observations` sums it per window
-with ``np.bincount`` over the sparse windows of
+:func:`commit_productions` from the history's columns, without a commit
+record: a column operation for the commit and line-count measures, one
+pass over the payload column for ``lev``. Arm A, arm B and the tail
+distribution all read that one per-commit array. :func:`series_observations`
+sums it per window with ``np.bincount`` over the sparse windows of
 :func:`~scalemetrics.windows.team_windows`, adding in commit order, so the
 sums are those of a loop over the commits.
 """
@@ -146,22 +148,36 @@ def commit_production(commit, measure):
 
 def commit_productions(history, measure):
     """(values, unavailable_commit_count): each commit's production under
-    ``measure`` in history order, None where the measure is unavailable."""
-    values = []
-    unavailable = 0
-    for c in history.commits:
-        try:
-            values.append(commit_production(c, measure))
-        except MeasureUnavailableError:
-            values.append(None)
-            unavailable += 1
-    return values, unavailable
+    ``measure`` in history order, a float64 array that is nan where the
+    measure is unavailable. Every measure but ``lev`` is an operation on the
+    line-count columns; ``lev`` sums the edit distances of each commit's
+    payload pairs."""
+    cols = history.columns
+    if measure is ProductionMeasure.COMMITS:
+        return np.ones(len(cols.ts)), 0
+    if measure is ProductionMeasure.LOC_ADDED:
+        return cols.added.astype(float), 0
+    if measure is ProductionMeasure.LOC_DELETED:
+        return cols.deleted.astype(float), 0
+    if measure is ProductionMeasure.LOC_TOTAL:
+        return (cols.added + cols.deleted).astype(float), 0
+    if measure is not ProductionMeasure.LEVENSHTEIN:
+        raise ValueError(f"unknown measure {measure!r}")
+    values = np.full(len(cols.ts), np.nan)
+    for i, payload in enumerate(cols.payload or ()):
+        if payload is not None:
+            try:
+                values[i] = sum(levenshtein_distance(o, n) for o, n in payload)
+            except MeasureUnavailableError:
+                pass
+    return values, int(np.count_nonzero(np.isnan(values)))
 
 
 def production_column(productions):
     """(values, available) arrays of per-commit ``productions`` (from
-    :func:`commit_productions`): float64 values, and a mask that is False
-    where the measure was unavailable (None)."""
+    :func:`commit_productions`, or a list with None where the measure is
+    unavailable): float64 values, and a mask that is False where the
+    measure was unavailable."""
     values = np.array(productions, dtype=float)  # None reads as nan
     return values, ~np.isnan(values)
 

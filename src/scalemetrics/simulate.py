@@ -13,9 +13,10 @@
 
 Every Pareto draw goes through one inverse-CDF sampler. No generator makes
 more than :data:`DEFAULT_EVENT_CAP` commits: each truncates or refuses
-(ValueError) before it draws. All three history generators make their
-commits through the parsers' one record constructor (one shared
-:class:`~scalemetrics.ingest.AuthorId` per author) and build each history once.
+(ValueError) before it draws. All three history generators fill the
+history's columns directly, through the parsers' one constructor of checked
+columns (one shared :class:`~scalemetrics.ingest.AuthorId` per author), and
+build each history once; none makes a commit record.
 
 All generators take an integer seed; trials and windows draw from RNG
 streams derived from (seed, task index) so results do not depend on
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import ProjectHistory, _record
+from .ingest import ProjectHistory, _parsed, _record
 from .scaling import ols
 from .windows import DAY
 
@@ -218,11 +219,18 @@ def simulate_branching_stream(model, participants, participation_mu,
 def _sim_history(project_name, prefix, times, authors):
     """History of one-line commits ``{prefix}-{i:07d}`` at ``times[i]`` by
     author ``dev{authors[i]}@sim``; commit i is line i + 1 of its JSONL."""
-    shared = {}
-    identity = {a: (f"dev{a}@sim", f"dev {a}") for a in set(authors)}
-    return ProjectHistory.build(project_name, [
-        _record(shared, i + 1, f"{prefix}-{i:07d}", *identity[a], t, 1, 0)
-        for i, (t, a) in enumerate(zip(times, authors))])
+    ts = np.asarray(times, dtype=float)
+    ids = [f"{prefix}-{i:07d}" for i in range(len(ts))]
+    codes = {}
+    identity = [codes.setdefault(a, len(codes)) for a in authors]
+    identities = [(f"dev{a}@sim", f"dev {a}") for a in codes]
+    bad = np.flatnonzero(~((ts >= 0) & (ts < np.inf)))
+    if len(bad):  # a time past the float range: the record's error
+        i = int(bad[0])
+        _record(i + 1, ids[i], *identities[identity[i]], ts[i], 1, 0)
+    n = len(ts)
+    return _parsed(project_name, range(1, n + 1), identities, ids, ts, identity,
+                   np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64), [1] * n, None)
 
 
 def _check_commit_count(commits):

@@ -85,7 +85,7 @@ def inter_commit_quantile(history, q):
     pooled across all authors."""
     if not 0 < q < 1:
         raise ValueError("quantile must be in (0, 1)")
-    ts, author, _ = history.columns
+    ts, author = history.columns.ts, history.columns.author
     order = np.lexsort((ts, author))  # by author, then time
     gaps = np.diff(ts[order])[np.diff(author[order]) == 0]
     if not len(gaps):
@@ -153,7 +153,8 @@ def team_windows(history, length):
         raise ValueError("window length must be positive")
     if len(history) == 0:
         raise InsufficientDataError("history has no commits")
-    ts, author, authors = history.columns
+    cols = history.columns
+    ts, author, authors = cols.ts, cols.author, cols.authors
     t0 = float(ts[0])
     last = (float(ts[-1]) - t0) // length
     if not last < MAX_WINDOWS:  # so that last + 1 windows <= 2**53

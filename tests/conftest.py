@@ -1,9 +1,26 @@
 import random
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import strategies as st
 
 from scalemetrics.ingest import AuthorId, CommitRecord, ProjectHistory
+
+
+@contextmanager
+def no_rows():
+    """Within the block, making a CommitRecord fails: for the paths that must
+    work on a history's columns alone."""
+    original = CommitRecord.__post_init__
+
+    def refuse(self):
+        raise AssertionError(f"a CommitRecord was made: {self.commit_id!r}")
+
+    CommitRecord.__post_init__ = refuse
+    try:
+        yield
+    finally:
+        CommitRecord.__post_init__ = original
 
 
 def make_commit(cid, email, ts, added=1, deleted=0, parents=1, payload=None):

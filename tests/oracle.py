@@ -7,19 +7,34 @@ the analysis did before each commit's production was shared: one
 functions are the per-commit Python loops that the columnar index
 (``ProjectHistory.columns``) and its array passes replaced.
 ``per_member_trend`` is arm B's own copy of the fit, which arm B replaced
-by the arm-A fit of ln(P/n) on ln n.
+by the arm-A fit of ln(P/n) on ln n. ``loop_parse_jsonl``,
+``loop_parse_commit_log`` and ``loop_write_jsonl`` are the row-by-row
+parsers and writer that the columns-first history replaced: every record
+becomes a ``CommitRecord`` through ``_record``, and the writer serialises
+each row with ``json.dumps``.
 """
 
+import json
 import math
 from collections import Counter
 from dataclasses import replace
+from operator import attrgetter
 
 from scalemetrics.errors import (
     DegenerateDataError,
     InsufficientDataError,
     MeasureUnavailableError,
 )
-from scalemetrics.ingest import AuthorId, ProjectHistory, _normalize_alias_map
+from scalemetrics.errors import ParseError
+from scalemetrics.ingest import (
+    AuthorId,
+    CommitRecord,
+    ProjectHistory,
+    _lines,
+    _normalize_alias_map,
+    _parse_numstat_field,
+    _parse_payload,
+)
 from scalemetrics.metrics import WindowObservation, commit_production
 from scalemetrics.scaling import Z_95, fit_points
 from scalemetrics.windows import ActivityWindow, FixedWindow, QuantileWindow
@@ -231,3 +246,132 @@ def loop_resolve_authors(history, alias_map=None, drop_authors=()):
             continue
         commits.append(replace(c, author=AuthorId(key)))
     return ProjectHistory.build(history.project_name, commits)
+
+
+def _record(authors, line_no, commit_id, email, name, ts, added, deleted,
+            parents=1, payload=None):
+    """A CommitRecord; ``authors`` caches one AuthorId per raw (email, name)
+    and per canonical key; a refused field is a ParseError on ``line_no``."""
+    try:
+        author = authors.get((email, name))
+        if author is None:
+            author = AuthorId.from_raw(email, name)
+            author = authors[email, name] = authors.setdefault(author.canonical_key,
+                                                               author)
+        return CommitRecord(commit_id, author, float(ts), added, deleted, email,
+                            name, parents, payload)
+    except (ValueError, OverflowError) as exc:  # float() of a huge integer
+        raise ParseError(str(exc), line=line_no) from None
+
+
+def _build(project_name, commits, line_nos):
+    """The records sorted by (timestamp, id); a duplicate id is a ParseError
+    on the line of its second record."""
+    seen = set()
+    for c, line_no in zip(commits, line_nos):
+        if c.commit_id in seen:
+            raise ParseError(f"duplicate commit id {c.commit_id!r}", line=line_no)
+        seen.add(c.commit_id)
+    return ProjectHistory(project_name, tuple(sorted(
+        commits, key=attrgetter("timestamp", "commit_id"))))
+
+
+def loop_parse_commit_log(text, project_name="project", include_merges=False):
+    commits, line_nos = [], []
+    authors = {}
+    lines = _lines(text)
+    i = 0
+    while i < len(lines):
+        line = lines[i]
+        if not line.strip():
+            i += 1
+            continue
+        header_no = i + 1
+        parts = line.split("|")
+        if len(parts) != 6 or parts[0] != "C":
+            raise ParseError(f"malformed header {line!r}", line=header_no)
+        _, commit_id, email, name, ts_raw, parents_raw = parts
+        if not commit_id:
+            raise ParseError("empty commit id", line=header_no)
+        try:
+            ts = float(ts_raw)
+            parents = int(parents_raw)
+        except ValueError:
+            raise ParseError(f"malformed header {line!r}", line=header_no) from None
+        added = deleted = 0
+        i += 1
+        while i < len(lines) and lines[i].strip():
+            cols = lines[i].split("\t")
+            if len(cols) < 3:
+                raise ParseError(f"malformed numstat row {lines[i]!r}", line=i + 1)
+            added += _parse_numstat_field(cols[0], i + 1)
+            deleted += _parse_numstat_field(cols[1], i + 1)
+            i += 1
+        if parents >= 2 and not include_merges:
+            continue
+        commits.append(_record(authors, header_no, commit_id, email, name, ts,
+                               added, deleted, parents))
+        line_nos.append(header_no)
+    return _build(project_name, commits, line_nos)
+
+
+# the JSON types each record field may take; a bool is not an integer here
+_FIELD_TYPES = {"id": (str,), "email": (str, type(None)), "name": (str, type(None)),
+                "ts": (int, float), "added": (int,), "deleted": (int,), "parents": (int,)}
+
+
+def loop_parse_jsonl(text, project_name="project", include_merges=False):
+    commits, line_nos = [], []
+    authors = {}
+    for line_no, line in enumerate(_lines(text), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except ValueError as exc:  # also an integer past Python's digit limit
+            raise ParseError(f"bad JSON: {getattr(exc, 'msg', exc)}",
+                             line=line_no) from None
+        if not isinstance(obj, dict) or "id" not in obj or "ts" not in obj:
+            raise ParseError("record must be an object with 'id' and 'ts'", line=line_no)
+        for key, types in _FIELD_TYPES.items():
+            if key in obj and type(obj[key]) not in types:
+                raise ParseError(f"bad {key!r}: {json.dumps(obj[key])}", line=line_no)
+        files = obj.get("files")
+        payload = None if files is None else _parse_payload(files, line_no)
+        parents = obj.get("parents", 1)
+        if parents >= 2 and not include_merges:
+            continue
+        commits.append(_record(authors, line_no, obj["id"], obj.get("email") or "",
+                               obj.get("name") or "", obj["ts"], obj.get("added", 0),
+                               obj.get("deleted", 0), parents, payload))
+        line_nos.append(line_no)
+    return _build(project_name, commits, line_nos)
+
+
+def loop_write_jsonl(history):
+    out = []
+    for c in history.commits:
+        email = c.raw_email
+        if not email or AuthorId.normalize(email, c.raw_name) != c.author.canonical_key:
+            email = c.author.canonical_key
+        obj = {
+            "id": c.commit_id,
+            "email": email,
+            "name": c.raw_name,
+            "ts": c.timestamp,
+            "added": c.lines_added,
+            "deleted": c.lines_deleted,
+        }
+        if c.parent_count != 1:
+            obj["parents"] = c.parent_count
+        if c.diff_payload is not None:
+            obj["files"] = [{"old": o, "new": n} for o, n in c.diff_payload]
+        out.append(json.dumps(obj, sort_keys=False))
+    return "\n".join(out) + ("\n" if out else "")
+
+
+def first_line_format(text):
+    """The input format ``analyze`` and ``ingest`` sniff: "log" if the first
+    line that is not blank starts with "C|", else "jsonl"."""
+    first = next((ln for ln in _lines(text) if ln.strip()), "")
+    return "log" if first.startswith("C|") else "jsonl"

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scalemetrics
 from scalemetrics import (
@@ -15,6 +17,9 @@ from scalemetrics import (
 from scalemetrics.cli import main, parse_duration
 from scalemetrics.errors import ConfigError
 from scalemetrics.metrics import csv_number
+
+from conftest import no_rows
+from oracle import first_line_format
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -101,6 +106,7 @@ def test_window_nan_is_usage_error(tmp_path, capsys):
     ["--tau", "nan"], ["--tau", "inf"], ["--tau", "0"], ["--tau", "-5"],
     ["--bins-per-decade", "-1"], ["--window", "0"], ["--seed", "-1"],
     ["--bins-per-decade", str(10**308)], ["--bins-per-decade", str(10**309)],
+    ["--bins-per-decade", "1" + "0" * 4000],
 ])
 def test_out_of_range_analysis_flag_is_usage_error(command, flags, tmp_path, capsys):
     src = tmp_path / "h.jsonl"
@@ -109,7 +115,9 @@ def test_out_of_range_analysis_flag_is_usage_error(command, flags, tmp_path, cap
     # every flag is checked before the input is read, even a missing one
     for target in (src if command == "analyze" else tmp_path, tmp_path / "missing"):
         assert main([command, str(target), "-o", str(tmp_path / "out"), *flags]) == 1
-        assert flags[0] in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert flags[0] in err
+        assert len(err.encode()) < 300  # a huge value is not echoed in full
     assert not (tmp_path / "out").exists()
 
 
@@ -194,11 +202,236 @@ def test_huge_timestamp_is_a_data_error(tmp_path):
 def test_cli_import_loads_no_scipy():
     src = str(Path(scalemetrics.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, scalemetrics.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = ("import sys; before = set(sys.modules); import scalemetrics.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+            " - set(sys.stdlib_module_names)))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
-    assert out.strip() == "[]"
+    scipy, packages = out.splitlines()
+    assert scipy == "[]"
+    # the import loads no third-party package but numpy, so setup time stays
+    # that of numpy and the package's own modules
+    assert packages == "['numpy', 'scalemetrics']"
+
+
+def _payload_jsonl(seed):
+    """A small JSONL history whose commits mostly carry short diff payloads."""
+    rng = random.Random(seed)
+    lines = []
+    for i in range(150):
+        record = {"id": f"p{i:04d}", "email": f"dev{int(15 * rng.random() ** 2)}@x",
+                  "name": rng.choice(["Ann", "", None]),
+                  "ts": round(rng.uniform(0, 200 * 86400), rng.choice([0, 3])),
+                  "added": rng.randrange(40), "deleted": rng.randrange(15)}
+        if rng.random() > 0.1:
+            record["files"] = [{"old": "ab" * rng.randrange(6),
+                                "new": "ba" * rng.randrange(6)}
+                               for _ in range(rng.randrange(3))]
+        lines.append(json.dumps(record))
+    return "\n".join(lines) + "\n"
+
+
+def _pinned_log(seed):
+    """A small pinned-format log with merges, binary rows, alias chains and a
+    bot, and the alias map for it."""
+    rng = random.Random(seed)
+    entries = []
+    for i in range(300):
+        email = rng.choice(["a@x", "A.old@X", "a.legacy@x", "b@x", "c@x", "bot@ci", "",
+                            "d@y"])
+        parents = rng.choice([1, 1, 1, 2, 0])
+        rows = [("-", "-", "img.png") if rng.random() < 0.1 else
+                (rng.randrange(50), rng.randrange(20), f"f{j}.py")
+                for j in range(rng.randrange(3))] if parents < 2 else []
+        ts = rng.randrange(10**9, 10**9 + 10**7)
+        entries.append(f"C|{i:08x}|{email}|Dev {i % 7}|{ts}|{parents}\n"
+                       + "".join(f"{a}\t{d}\t{p}\n" for a, d, p in rows))
+    aliases = {"a.legacy@x": "a.old@x", "a.old@x": "a@x", "dev 3": "c@x"}
+    return "\n".join(entries) + "\n", aliases
+
+
+# sha256 of every output of the commands below, recorded before the history
+# became columns-first; they pin the CLI's bytes
+PINNED_OUTPUTS = {
+    7: {
+        "simulate.stdout":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "simulate.stderr":
+            "91347ea131608545a8a0089cdd5efde8714fc107795b189e841170a7a597bfd4",
+        "analyze-json.stdout":
+            "bbd4a37281b3f322d38e1d0bfafc3bf95083270237e593929fc267dbd8c58a45",
+        "analyze-json.stderr":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "analyze-text.stdout":
+            "051efffea1c02771324fcfc7fa256c77f451b7d70d9a2a9f099f4b8a457bb204",
+        "analyze-text.stderr":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "analyze-loc.stdout":
+            "f7f0fa7c15dc232ced78f3956474b2a873528761f036530b590a52c249869279",
+        "analyze-loc.stderr":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "analyze-lev.stdout":
+            "1141463ce4a1c113bf3cefcc37e8c863d092f6522e02d01ba1a332f32809cc14",
+        "analyze-lev.stderr":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "ingest.stdout":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "ingest.stderr":
+            "9e09104896ed1ad5c38657ae2cf800e63e0bd3c285075eb552e5380489e69934",
+        "ht.jsonl":
+            "e77f4dcfac38c839182897d747d1a3b4875ac581e73d047b1c8539e263c7145a",
+        "ht.jsonl.meta.json":
+            "e546f1f2261cefe62ccf97dcfad4ffc406850de1f3b11dfb43278ed94fc2ea75",
+        "ingested.jsonl":
+            "f8d859c87cd788ee6b810525d60f9d8df723d3012acdde3179585627798162f0",
+        "json/binned.csv":
+            "2902f5dfbce6477cc6ff64fbe3b1f4399349cf0ec7ee554b458910e6c8354858",
+        "json/observations.csv":
+            "99fd5d6ed0b8841b2908a165ee19a18408aaea1d28e5c70a9eb41de38cf9010e",
+        "json/report.json":
+            "bbd4a37281b3f322d38e1d0bfafc3bf95083270237e593929fc267dbd8c58a45",
+        "lev/binned.csv":
+            "f101e3ba15640a85a0562ad2b63c7a0027fb2e3e19d3ad8b03463cfca94420b6",
+        "lev/observations.csv":
+            "1149792bb72aafa93db3255bf06244cf416bd3c329d67d17c6c510bdf0e67125",
+        "lev/report.json":
+            "1141463ce4a1c113bf3cefcc37e8c863d092f6522e02d01ba1a332f32809cc14",
+        "loc/binned.csv":
+            "529c2f2ec6330a2f4839ec1158034317e2fbbfa1140249188ca1c971aeed7481",
+        "loc/observations.csv":
+            "1da850ebf14225853859f2a463a78772bda7da50975c054663797e68276b5477",
+        "loc/report.json":
+            "02e1fbe2b18a65e81f284368cffe8683a7b696c047ab4fa7df0cb877cf0da2d6",
+        "text/binned.csv":
+            "2902f5dfbce6477cc6ff64fbe3b1f4399349cf0ec7ee554b458910e6c8354858",
+        "text/observations.csv":
+            "99fd5d6ed0b8841b2908a165ee19a18408aaea1d28e5c70a9eb41de38cf9010e",
+        "text/report.json":
+            "bbd4a37281b3f322d38e1d0bfafc3bf95083270237e593929fc267dbd8c58a45",
+    },
+    21: {
+        "simulate.stdout":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "simulate.stderr":
+            "b3c792c3306a8f457defe67b7aa1d56eeff132ddbe8560c8b763c0b2b56f9480",
+        "analyze-json.stdout":
+            "167958e4a4677197af6ca79ca501edeb35d116755b6bc9ac1c1f5d32c74f487d",
+        "analyze-json.stderr":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "analyze-text.stdout":
+            "c026d1b513d10618b322714978dca9f4e7528ac809cdd15ee94e0a9cbfb00997",
+        "analyze-text.stderr":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "analyze-loc.stdout":
+            "7ca5ec12fd2446d28f395de0b78f5a4d736d2c5a2c01b1dec4bf2263f79a0a89",
+        "analyze-loc.stderr":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "analyze-lev.stdout":
+            "f265142d1b556ccb3d92d5f7015df3b3c5e1ccfc1d10bcc90e851ca59d747e96",
+        "analyze-lev.stderr":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "ingest.stdout":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "ingest.stderr":
+            "cebd14a0a00a5b1219846574ae738d90ffce47ccaa1acc7af76be2fc70c57266",
+        "ht.jsonl":
+            "787d0ea17600bae082d032415c60db10246d7cc83eb6126975ecc21d04330673",
+        "ht.jsonl.meta.json":
+            "fb005af7d6f9d648038dd4e37e43d6cde609c797c840721e6654c9db855321f0",
+        "ingested.jsonl":
+            "9465d3123e0d0d42dd48ed0026a41452c07048dcee920423e4821427af0532a3",
+        "json/binned.csv":
+            "47d373f76c31fd5af3381af9394f14a1f86eb86d5c49bd1b105cccae4381967a",
+        "json/observations.csv":
+            "f26506443e60e91617c4846b75dcd68d7b7fff619d3e8ddb4c30801e473045d2",
+        "json/report.json":
+            "167958e4a4677197af6ca79ca501edeb35d116755b6bc9ac1c1f5d32c74f487d",
+        "lev/binned.csv":
+            "aead5db4579fe4f01ecfc3ac76cc9a8d7fcc229f1e4521b8e59c6faa85bfb4b9",
+        "lev/observations.csv":
+            "9f58e3d4d90080eb5c83c7fac1e0aad2185ae2f8d993aae8786381fc0231cceb",
+        "lev/report.json":
+            "f265142d1b556ccb3d92d5f7015df3b3c5e1ccfc1d10bcc90e851ca59d747e96",
+        "loc/binned.csv":
+            "8827fa50f9d2104d36054e1698f812e5e4e8f2bbbc0092899c1c876c6c0d5a00",
+        "loc/observations.csv":
+            "1164f5dc598b96325813fdce239e9d259dc5cb0f32ecbccb92d8f2bfe57f115b",
+        "loc/report.json":
+            "0bf3e585880a75c040924a824f49cc5495f96c8d8e0bfb9b46894d50fc833757",
+        "text/binned.csv":
+            "47d373f76c31fd5af3381af9394f14a1f86eb86d5c49bd1b105cccae4381967a",
+        "text/observations.csv":
+            "f26506443e60e91617c4846b75dcd68d7b7fff619d3e8ddb4c30801e473045d2",
+        "text/report.json":
+            "167958e4a4677197af6ca79ca501edeb35d116755b6bc9ac1c1f5d32c74f487d",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", [7, 21])
+def test_cli_outputs_are_pinned(seed, tmp_path, capsys):
+    import hashlib
+
+    src, out = tmp_path / "src", tmp_path / "out"
+    src.mkdir()
+    out.mkdir()
+    payload = src / "payload.jsonl"
+    payload.write_text(_payload_jsonl(seed))
+    log_text, aliases = _pinned_log(seed)
+    (src / "history.log").write_text(log_text)
+    (src / "aliases.json").write_text(json.dumps(aliases))
+    streams = {}
+    commands = {
+        "simulate": ["simulate", "heavy-tail", "--windows", "30", "--seed", str(seed),
+                     "-o", str(out / "ht.jsonl")],
+        "analyze-json": ["analyze", str(out / "ht.jsonl"), "-o", str(out / "json"),
+                         "--format", "json", "--seed", str(seed)],
+        "analyze-text": ["analyze", str(out / "ht.jsonl"), "-o", str(out / "text"),
+                         "--format", "text", "--seed", str(seed)],
+        "analyze-loc": ["analyze", str(payload), "-o", str(out / "loc"), "--measure", "loc",
+                        "--window", "2d", "--bins-per-decade", "0", "--seed", str(seed)],
+        "analyze-lev": ["analyze", str(payload), "-o", str(out / "lev"), "--measure", "lev",
+                        "--window", "2d", "--bins-per-decade", "0", "--format", "json",
+                        "--seed", str(seed)],
+        "ingest": ["ingest", str(src / "history.log"), "-o", str(out / "ingested.jsonl"),
+                   "--alias-map", str(src / "aliases.json"), "--drop-author", "bot@ci",
+                   "--include-merges"],
+    }
+    for name, argv in commands.items():
+        assert main(argv) == 0, name
+        captured = capsys.readouterr()
+        streams[f"{name}.stdout"], streams[f"{name}.stderr"] = captured.out, captured.err
+    digests = {name: hashlib.sha256(text.encode()).hexdigest()
+               for name, text in streams.items()}
+    digests.update({str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
+                    for p in sorted(out.rglob("*")) if p.is_file()})
+    assert digests == PINNED_OUTPUTS[seed]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text("\n\r \t\x85 C|{", max_size=12))
+def test_format_sniff_matches_first_line_oracle(text):
+    assert cli._sniff_format(text) == first_line_format(text)
+
+
+def test_cli_paths_make_no_rows(tmp_path, capsys):
+    # analyze, ingest and simulate work on the columns alone
+    src = tmp_path / "payload.jsonl"
+    src.write_text(_payload_jsonl(3))
+    log_text, aliases = _pinned_log(3)
+    (tmp_path / "history.log").write_text(log_text)
+    (tmp_path / "aliases.json").write_text(json.dumps(aliases))
+    with no_rows():
+        for measure in ("commits", "loc", "lev"):
+            assert main(["analyze", str(src), "-o", str(tmp_path / measure),
+                         "--measure", measure]) == 0
+        assert main(["ingest", str(tmp_path / "history.log"), "-o",
+                     str(tmp_path / "ingested.jsonl"), "--alias-map",
+                     str(tmp_path / "aliases.json"), "--drop-author", "bot@ci"]) == 0
+        assert main(["simulate", "heavy-tail", "--windows", "20", "-o",
+                     str(tmp_path / "ht.jsonl")]) == 0
+        assert main(["compare", str(tmp_path), "-o", str(tmp_path / "cmp")]) == 0
 
 
 def test_ingest_empty_file(tmp_path, capsys):

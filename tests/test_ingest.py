@@ -1,11 +1,13 @@
 import itertools
 import json
 import random
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from scalemetrics import ingest
 from scalemetrics.cli import main
 from scalemetrics.errors import ConfigError, ParseError
 from scalemetrics.ingest import (
@@ -18,8 +20,13 @@ from scalemetrics.ingest import (
     write_jsonl,
 )
 
-from conftest import make_history, random_history
-from oracle import loop_resolve_authors
+from conftest import make_history, no_rows, random_history, random_payload_history
+from oracle import (
+    loop_parse_commit_log,
+    loop_parse_jsonl,
+    loop_resolve_authors,
+    loop_write_jsonl,
+)
 
 
 def log_entry(cid, email, ts, rows=(), parents=1, name="Dev"):
@@ -164,28 +171,105 @@ _BAD_LOG_LINES = (_fields(_HEADER_FIELDS, "|", True) | _fields(_ROW_FIELDS, "\t"
                   | _LOG_TEXT)
 
 
-def _one_bad_line(good, bad):
-    """Good lines with at most one bad line put in among them."""
-    return st.tuples(st.lists(good, max_size=6), st.none() | bad,
-                     st.integers(0, 6)).map(
-        lambda t: t[0] if t[1] is None else [*t[0][:t[2]], t[1], *t[0][t[2]:]])
+def _bad_lines(good, bad):
+    """Good lines with up to two bad lines put in among them."""
+    return st.tuples(st.lists(good, max_size=6),
+                     st.lists(st.tuples(bad, st.integers(0, 8)), max_size=2)).map(
+        lambda t: _insert(t[0], t[1]))
+
+
+def _insert(lines, extra):
+    lines = list(lines)
+    for line, at in extra:
+        lines.insert(at, line)
+    return lines
+
+
+def _outcome(parse, text, include_merges):
+    try:
+        return parse(text, include_merges=include_merges)
+    except ParseError as exc:
+        return exc
+
+
+_GOOD = json.dumps({"id": "g", "email": "a@x", "ts": 5})
+_ALIASES = {"a@x": "c@x", "ann": "a@x"}
 
 
 @settings(max_examples=300, deadline=None)
-@given(_one_bad_line(_GOOD_RECORDS.map(json.dumps), _BAD_JSONL_LINES),
-       _one_bad_line(_GOOD_LOG_ENTRIES, _BAD_LOG_LINES), st.booleans())
+@given(_bad_lines(_GOOD_RECORDS.map(json.dumps), _BAD_JSONL_LINES),
+       _bad_lines(_GOOD_LOG_ENTRIES, _BAD_LOG_LINES), st.booleans())
+# a joined decode would read these two lines as two records
+@example(['{"id":"a","ts":1},{"id":"b","ts":2,"x":[0', '1]}'], [], False)
+@example(["\x0c" + _GOOD, _GOOD.replace('"g"', '"h"')], [], False)  # not JSON whitespace
+@example([_GOOD, '{"id": "b", "email": "b@x", "ts": 1' + "0" * 400 + "}"], [], False)
+@example([_GOOD, '{"id": "b", "email": "b@x", "ts": 1, "added": true}', "{"], [], False)
+@example([_GOOD, '{"id": "", "email": "b@x", "ts": 1}'], [], False)
+# an id whose first copy is a merge is a duplicate only when merges are kept
+@example(['{"id": "g", "email": "b@x", "ts": 1, "parents": 2}', _GOOD],
+         ["C|m|a@x|A|1|2\n", "C|m|b@x|B|2|1\n"], False)
+@example(['{"id": "g", "email": "b@x", "ts": 1, "parents": 2}', _GOOD],
+         ["C|m|a@x|A|1|2\n", "C|m|b@x|B|2|1\n"], True)
 def test_parsers_fuzz(jsonl_lines, log_lines, include_merges):
-    # any input either parses or is a ParseError that names its line; a parsed
-    # history comes back from resolve_authors without a map record for record
-    for parse, lines in [(parse_jsonl, jsonl_lines), (parse_commit_log, log_lines)]:
-        try:
-            h = parse("\n".join(lines) + "\n", include_merges=include_merges)
-        except ParseError as exc:
-            assert exc.line is not None, exc
-        else:
-            resolved = resolve_authors(h).commits
-            assert len(resolved) == len(h) and all(
-                a is b for a, b in zip(resolved, h.commits))
+    # each parser gives the rows of its record-by-record oracle, or the same
+    # line-numbered ParseError; on a parsed history, resolve_authors and
+    # write_jsonl make no CommitRecord and agree with their oracles
+    for parse, oracle, lines in [(parse_jsonl, loop_parse_jsonl, jsonl_lines),
+                                 (parse_commit_log, loop_parse_commit_log, log_lines)]:
+        text = "\n".join(lines) + "\n"
+        expected = _outcome(oracle, text, include_merges)
+        if isinstance(expected, ParseError):
+            got = _outcome(parse, text, include_merges)
+            assert isinstance(got, ParseError), text
+            assert (str(got), got.line) == (str(expected), expected.line)
+            continue
+        with no_rows():  # a valid input is parsed without a record
+            h = parse(text, include_merges=include_merges)
+            resolved = resolve_authors(h)
+            written = write_jsonl(h)
+            aliased = resolve_authors(h, alias_map=_ALIASES, drop_authors=["b@x"])
+            written_aliased = write_jsonl(aliased)
+        assert h.commits == expected.commits
+        assert resolved.commits == h.commits
+        assert written == loop_write_jsonl(expected)
+        expected_aliased = loop_resolve_authors(expected, _ALIASES, ["b@x"])
+        assert aliased.commits == expected_aliased.commits
+        assert written_aliased == loop_write_jsonl(expected_aliased)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_parse_jsonl_chunks_match_loop_oracle(chunk, monkeypatch):
+    # records, merges and faults on either side of each chunk boundary
+    monkeypatch.setattr(ingest, "_CHUNK", chunk)
+    good = [json.dumps({"id": f"c{i}", "email": ["a@x", None, "B@x"][i % 3], "name": "Ann",
+                        "ts": 7 - i, "parents": 2 if i == 4 else 1}) for i in range(8)]
+    bad = ['{"id": "z", "email": "a@x", "ts": -1}', "{", '{"id": "q", "ts": 1}',
+           '{"id": "c1", "email": "x@y", "ts": 0}', ""]
+    for at in range(len(good) + 1):
+        for line in bad:
+            text = "\n".join(good[:at] + [line] + good[at:]) + "\n"
+            for include_merges in (False, True):
+                expected = _outcome(loop_parse_jsonl, text, include_merges)
+                got = _outcome(parse_jsonl, text, include_merges)
+                if isinstance(expected, ParseError):
+                    assert (str(got), got.line) == (str(expected), expected.line)
+                else:
+                    assert got.commits == expected.commits
+
+
+def test_write_jsonl_matches_loop_oracle(rng):
+    # histories made from rows, with payloads, aliases, drops and parent counts
+    for _ in range(5):
+        h = random_payload_history(rng)
+        commits = [replace(c, parent_count=rng.choice([0, 1, 1, 2, 10**30]))
+                   for c in h.commits]
+        h = ProjectHistory.build("payload", commits)
+        for aliases, drop in [(None, ()), ({"dev0@x": "dev1@x", "dev2@x": "new@y"},
+                                           ["dev3@x"])]:
+            resolved = resolve_authors(h, aliases, drop)
+            assert write_jsonl(resolved) == loop_write_jsonl(resolved)
+            assert parse_jsonl(write_jsonl(resolved), include_merges=True).commits == \
+                loop_parse_jsonl(loop_write_jsonl(resolved), include_merges=True).commits
 
 
 def test_jsonl_roundtrip_is_identity():
@@ -454,12 +538,16 @@ def test_resolve_authors_matches_loop_oracle(rows, alias_map, drop):
 
 
 def test_resolve_authors_returns_unaliased_records_themselves(rng):
-    h = random_history(rng, n_commits=200, n_authors=12)
-    resolved = resolve_authors(h)
-    assert all(a is b for a, b in zip(resolved.commits, h.commits))
-    aliased = resolve_authors(h, alias_map={"dev0@x": "dev1@x"})
+    # unaliased, the history itself comes back; aliased, its rows equal the
+    # oracle's, and neither call makes a CommitRecord
+    h = parse_jsonl(write_jsonl(random_history(rng, n_commits=200, n_authors=12)))
+    with no_rows():
+        resolved = resolve_authors(h)
+        aliased = resolve_authors(h, alias_map={"dev0@x": "dev1@x"})
+    assert resolved is h
+    assert aliased.commits == loop_resolve_authors(h, {"dev0@x": "dev1@x"}).commits
     for before, after in zip(h.commits, aliased.commits):
-        assert (after is before) == (before.raw_email != "dev0@x")
+        assert (after.author == before.author) == (before.raw_email != "dev0@x")
 
 
 def test_parsers_share_one_author_id_per_author():
