@@ -14,7 +14,8 @@ Two input formats are supported:
   ``{id, email, name, ts, added, deleted, files:[{old,new}]?}``.
   This is the only format that can carry diff payloads for the
   edit-distance production measure, and it is also the canonical
-  serialization emitted by :func:`write_jsonl`.
+  serialization emitted by :func:`write_jsonl`, whose payload-free lines
+  are read in runs by one pattern, with the JSON decoder's results and errors.
 
 Merge commits (parent_count >= 2) carry no numstat deltas and are excluded
 by default; pass ``include_merges=True`` to keep them.
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -60,9 +62,20 @@ __all__ = [
 #: it as a float64, which holds every integer up to 2**53 exactly
 MAX_LINES = 2**53
 
-#: the JSONL lines decoded and checked at a time; it bounds the decoded
+#: the JSONL lines read and checked at a time; it bounds the decoded
 #: objects held at once
 _CHUNK = 4096
+
+#: a JSON string, its escapes as strict as json's: its own text if it has no "\\"
+_STR = r'"([^"\\\x00-\x1f]*(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*)*)"'
+_INT = r"(0|[1-9][0-9]{0,17})"  # an unsigned JSON integer that fits in int64
+#: a JSONL line as :func:`write_jsonl` writes a commit without a payload,
+#: with a ``ts`` that has a fraction or an exponent, as ``repr(float)`` has;
+#: any other line matches too, with every group None
+_CANONICAL = (
+    rf'(?m)^(?:\{{"id": {_STR}, "email": {_STR}, "name": {_STR}, '
+    r'"ts": (-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)), '
+    rf'"added": {_INT}, "deleted": {_INT}(?:, "parents": {_INT})?\}}|.*)$')
 
 
 @dataclass(frozen=True, order=True)
@@ -400,17 +413,15 @@ def _check_jsonl_record(obj, line_no, include_merges):
 
 def _jsonl_columns(objs, line_nos, include_merges, identities):
     """The kept records of the decoded JSONL ``objs`` (on ``line_nos``) as
-    the columns (line_nos, ids, ts, identity, added, deleted, parents,
-    payload), each rule of :func:`_check_jsonl_record` checked once per
-    column; None if a record breaks one. ``identities`` numbers each raw
-    (email, name) met so far."""
+    the columns of :func:`_checked_columns`, each rule of
+    :func:`_check_jsonl_record` checked once per column; None if a record
+    breaks one."""
     if not {dict}.issuperset(map(type, objs)):
         return None
     columns = [[o.get(key, default) for o in objs] for key, (_, default) in _FIELDS.items()]
     if not all(set(map(type, column)).issubset(types)
                for column, (types, _) in zip(columns, _FIELDS.values())):
         return None
-    ids, emails, names, ts, added, deleted, parents = columns
     payload = [o.get("files") for o in objs]
     if payload.count(None) == len(payload):
         payload = None
@@ -419,6 +430,32 @@ def _jsonl_columns(objs, line_nos, include_merges, identities):
             payload = [None if f is None else _parse_payload(f, None) for f in payload]
         except ParseError:
             return None
+    ids, emails, names, ts, added, deleted, parents = columns
+    if None in emails or None in names:  # a null email or name reads as ""
+        emails, names = [e or "" for e in emails], [n or "" for n in names]
+    return _checked_columns(line_nos, ids, emails, names, ts, added, deleted, parents,
+                            payload, include_merges, identities)
+
+
+def _canonical_columns(fields, first, include_merges, identities):
+    """The columns of :func:`_jsonl_columns` (None if a record breaks a rule)
+    for the :data:`_CANONICAL` lines of groups ``fields`` from line ``first``
+    on, whose numbers json reads as float and int of their text."""
+    ids, emails, names, ts, added, deleted, parents = zip(*fields)
+    if "\\" in "".join(ids + emails + names):  # json reads each escape
+        ids, emails, names = ([json.loads(f'"{s}"') if "\\" in s else s for s in column]
+                              for column in (ids, emails, names))
+    parents = [int(p or 1) for p in parents] if any(parents) else [1] * len(ids)
+    return _checked_columns(range(first, first + len(ids)), ids, emails, names,
+                            ts, added, deleted, parents, None, include_merges, identities)
+
+
+def _checked_columns(line_nos, ids, emails, names, ts, added, deleted, parents, payload,
+                     include_merges, identities):
+    """The kept records of one chunk's columns as (line_nos, ids, ts,
+    identity, added, deleted, parents, payload); None if one breaks a rule of
+    :class:`CommitRecord`. ``identities`` numbers each raw (email, name) met
+    so far, and gains the chunk's new ones only if the chunk is kept."""
     if not include_merges and max(parents, default=1) >= 2:
         keep = [p < 2 for p in parents]
         line_nos, ids, emails, names, ts, added, deleted, parents = (
@@ -427,7 +464,7 @@ def _jsonl_columns(objs, line_nos, include_merges, identities):
         payload = payload and [v for v, k in zip(payload, keep) if k]
     try:
         ts = np.fromiter(map(float, ts), dtype=float, count=len(ts))
-        added = np.array(added, dtype=np.int64)
+        added = np.array(added, dtype=np.int64)  # also of the pattern's digit strings
         deleted = np.array(deleted, dtype=np.int64)
     except OverflowError:  # a count past int64 is past MAX_LINES too
         return None
@@ -436,14 +473,11 @@ def _jsonl_columns(objs, line_nos, include_merges, identities):
             or np.any((added < 0) | (deleted < 0) | (added > MAX_LINES)
                       | (deleted > MAX_LINES) | (total > MAX_LINES))):
         return None
-    if None in emails or None in names:  # a null email or name reads as ""
-        emails, names = [e or "" for e in emails], [n or "" for n in names]
     pairs = list(zip(emails, names))
-    known = len(identities)
-    for pair in dict.fromkeys(pairs):
-        identities.setdefault(pair, len(identities))
-    if not all(AuthorId.normalize(*pair) for pair in list(identities)[known:]):
+    new = [pair for pair in dict.fromkeys(pairs) if pair not in identities]
+    if not all(AuthorId.normalize(*pair) for pair in new):
         return None
+    identities.update(zip(new, range(len(identities), len(identities) + len(new))))
     identity = np.array(list(map(identities.__getitem__, pairs)), dtype=np.intp)
     return line_nos, ids, ts, identity, added, deleted, parents, payload
 
@@ -464,17 +498,32 @@ def _json_line(scan, line):
 def parse_jsonl(text, project_name="project", include_merges=False):
     """Parse the JSONL commit format.
 
-    Lines are decoded one by one, :data:`_CHUNK` at a time, and each chunk's
-    fields are checked a column at a time; a chunk that holds a faulty
-    record is checked again record by record, so the error is that of its
-    first faulty line, worded as the record check words it.
+    Lines are read :data:`_CHUNK` at a time. The run of :data:`_CANONICAL`
+    lines that starts a chunk is read by that pattern if its records keep
+    every rule, and the next chunk starts after it. Any other chunk is
+    decoded line by line and checked a column at a time; a chunk that holds a
+    faulty record is checked again record by record, so the error is that of
+    its first faulty line, worded as the record check words it.
     """
     chunks, identities = [], {}
     scan = json.JSONDecoder().scan_once
     lines = _lines(text)
-    for start in range(0, len(lines), _CHUNK):
+    start = 0
+    while start < len(lines):
+        chunk = lines[start:start + _CHUNK]
+        # the groups of the leading run of canonical lines, one match a line
+        found = []
+        for match in re.finditer(_CANONICAL, "\n".join(chunk)):
+            if not match[4]:
+                break
+            found.append(match.groups())
+        columns = found and _canonical_columns(found, start + 1, include_merges, identities)
+        if columns:
+            chunks.append(columns)
+            start += len(found)
+            continue
         objs, line_nos, error = [], [], None
-        for line_no, line in enumerate(lines[start:start + _CHUNK], start + 1):
+        for line_no, line in enumerate(chunk, start + 1):
             if not line.strip():
                 continue
             try:
@@ -492,6 +541,7 @@ def parse_jsonl(text, project_name="project", include_merges=False):
         if error is not None:  # after the lines before it have been checked
             raise error
         chunks.append(columns)
+        start += _CHUNK
     line_nos, ids, ts, identity, added, deleted, parents, payloads = zip(*chunks)
     payload = None
     if any(p is not None for p in payloads):

@@ -31,7 +31,7 @@ import numpy as np
 
 from .ingest import ProjectHistory, _parsed, _record
 from .scaling import ols
-from .windows import DAY
+from .windows import DAY, _distinct
 
 #: the most events (commits) a generator makes; read when it runs
 DEFAULT_EVENT_CAP = 10**6
@@ -240,6 +240,12 @@ def _check_commit_count(commits):
                          f"{DEFAULT_EVENT_CAP} commits")
 
 
+def _check_span(windows, window_length):  # else the commit times overflow
+    if not np.isfinite(windows * window_length):
+        raise ValueError(f"window_length = {window_length:g} s is too long: {windows} "
+                         "windows of it pass the float range")
+
+
 def _window_commits(window_idx, window_length, count, rng, first_window):
     """Timestamps inside window ``window_idx``, confined to its first 99%
     so downstream tumbling windows (anchored at the first commit) line up
@@ -263,6 +269,7 @@ def simulate_zipf_growth(N, alpha, max_n=None, window_length=5 * DAY, seed=42):
     model = ZipfTeamModel(N=N, alpha=alpha, n=max_n)
     # rank j commits in windows j..max_n, at least once in each
     _check_commit_count(max_n * (max_n + 1) // 2)
+    _check_span(max_n, window_length)
     per_rank = np.maximum(1, np.round(model.contributions()))
     _check_commit_count(np.sum(per_rank * np.arange(max_n, 0, -1)))
     per_rank = per_rank.astype(int)
@@ -294,9 +301,10 @@ def simulate_heavy_tail_participation(mu, n_windows=60, min_events=5,
         raise ValueError(f"n_windows must be >= 0, got {n_windows}")
     if n_windows > DEFAULT_EVENT_CAP:
         raise ValueError(f"n_windows must be <= DEFAULT_EVENT_CAP = {DEFAULT_EVENT_CAP}")
-    counts = np.unique(np.round(np.logspace(np.log10(min_events),
+    counts = _distinct(np.round(np.logspace(np.log10(min_events),
                                             np.log10(max_events), n_windows)))
     _check_commit_count(np.sum(counts))
+    _check_span(len(counts), window_length)
     counts = counts.astype(int)
     order = np.random.default_rng([seed, 0]).permutation(len(counts))
     ranks = np.arange(1, AUTHOR_POOL + 1, dtype=float)

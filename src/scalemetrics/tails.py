@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import DegenerateDataError, InsufficientDataError
 from .metrics import commit_productions, production_column
+from .windows import _distinct
 
 MIN_TAIL_POINTS = 10
 N_BOOTSTRAP = 200
@@ -129,7 +130,12 @@ def _bootstrap_ci(sample, statistic, point, seed):
     boots = [b for b in boots if b is not None]
     if not boots:
         return float(point), float(point)
-    ci_low, ci_high = np.percentile(boots, [2.5, 97.5])
+    # np.percentile(boots, [2.5, 97.5]) as its linear method computes it,
+    # without its np.unique call, which imports numpy.ma
+    boots, at = np.sort(boots), (len(boots) - 1) * np.array([0.025, 0.975])
+    low = np.floor(at).astype(np.intp)
+    a, b, t = boots[low], boots[np.minimum(low + 1, len(boots) - 1)], at - low
+    ci_low, ci_high = np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
     return float(ci_low), float(ci_high)
 
 
@@ -187,8 +193,8 @@ def _candidate_cutoffs(values_sorted, max_candidates):
     if len(eligible) > max_candidates:
         # rank-spaced decimation keeps the scan O(n * max_candidates / 2)
         idx = np.linspace(0, len(eligible) - 1, max_candidates).round().astype(int)
-        eligible = eligible[np.unique(idx)]
-    return np.unique(eligible)
+        eligible = eligible[_distinct(idx)]
+    return _distinct(eligible)
 
 
 def pareto_mle_fit(distribution, seed=42):

@@ -80,6 +80,12 @@ def _nearest_rank(values, q):
     return float(np.partition(values, rank - 1)[rank - 1])
 
 
+def _distinct(values):
+    """``np.unique(values)`` by its counting branch: the plain call's
+    masked-array check imports numpy.ma, which the analyses do not need."""
+    return np.unique(values, return_counts=True)[0]
+
+
 def inter_commit_quantile(history, q):
     """q-th nearest-rank quantile of consecutive same-author commit gaps,
     pooled across all authors."""
@@ -167,7 +173,7 @@ def team_windows(history, length):
     index, slot, commit_count = np.unique(window, return_inverse=True,
                                           return_counts=True)
     # the distinct (window, author) pairs, grouped by window
-    pairs = np.unique(slot * len(authors) + author)
+    pairs = _distinct(slot * len(authors) + author)
     n = np.bincount(pairs // len(authors), minlength=len(index))
     return TeamWindows(t0, float(length), count, index, n, commit_count, slot,
                        pairs % len(authors))

@@ -215,6 +215,25 @@ def test_cli_import_loads_no_scipy():
     assert packages == "['numpy', 'scalemetrics']"
 
 
+def test_analysis_loads_no_numpy_ma(tmp_path):
+    # a plain np.unique imports numpy.ma (numpy 2.x): simulate, analyze and
+    # compare do without it
+    src = str(Path(scalemetrics.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    corpus.mkdir()
+    history = str(corpus / "h.jsonl")
+    code = ("import sys; from scalemetrics.cli import main; "
+            f"assert main(['simulate', 'heavy-tail', '--windows', '30', '-o', {history!r}]) == 0; "
+            f"assert main(['analyze', {history!r}, '-o', {str(out)!r}]) == 0; "
+            f"assert main(['compare', {str(corpus)!r}, '-o', {str(out)!r}]) == 0; "
+            "print('numpy.ma' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "False"
+
+
 def _payload_jsonl(seed):
     """A small JSONL history whose commits mostly carry short diff payloads."""
     rng = random.Random(seed)
@@ -484,6 +503,10 @@ def test_simulate_rejects_invalid_team(tmp_path, capsys):
     (["zipf", "--N", "inf"], "N^(1/alpha) must be finite"),
     (["zipf", "--N", "1e308"], "N^(1/alpha) must be finite"),
     (["zipf", "--team-size", "3", "--N", "1e300"], "N^(1/alpha) must be finite"),
+    # windows whose times pass the float range, refused before any draw
+    (["heavy-tail", "--window", "1e308s"], "window_length = 1e+308 s is too long"),
+    (["zipf", "--N", "10", "--alpha", "0.5", "--window", "1e308s"],
+     "window_length = 1e+308 s is too long: 100 windows"),
 ])
 def test_simulate_rejects_out_of_range_parameters(argv, message, tmp_path, capsys):
     assert main(["simulate", *argv, "-o", str(tmp_path / "bad.jsonl")]) == 2

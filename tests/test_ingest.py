@@ -3,6 +3,7 @@ import json
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -243,8 +244,12 @@ def test_parse_jsonl_chunks_match_loop_oracle(chunk, monkeypatch):
     monkeypatch.setattr(ingest, "_CHUNK", chunk)
     good = [json.dumps({"id": f"c{i}", "email": ["a@x", None, "B@x"][i % 3], "name": "Ann",
                         "ts": 7 - i, "parents": 2 if i == 4 else 1}) for i in range(8)]
+    # and canonical lines, which the pattern reads
+    good += [_canon(cid=f"k{i}", email=["a@x", "K@x"][i % 2], ts=f"{i}.5",
+                    end=', "parents": 2' if i == 2 else "") for i in range(4)]
     bad = ['{"id": "z", "email": "a@x", "ts": -1}', "{", '{"id": "q", "ts": 1}',
-           '{"id": "c1", "email": "x@y", "ts": 0}', ""]
+           '{"id": "c1", "email": "x@y", "ts": 0}', "", _canon(cid="z", ts="-1.0"),
+           _canon(cid="k1"), _canon(email="", name=" ")]
     for at in range(len(good) + 1):
         for line in bad:
             text = "\n".join(good[:at] + [line] + good[at:]) + "\n"
@@ -255,6 +260,129 @@ def test_parse_jsonl_chunks_match_loop_oracle(chunk, monkeypatch):
                     assert (str(got), got.line) == (str(expected), expected.line)
                 else:
                     assert got.commits == expected.commits
+
+
+def _canon(cid="e", email="a@x", name="A", ts="1.5", added="1", end=""):
+    """A JSONL line in the canonical form, with the given field texts."""
+    return (f'{{"id": "{cid}", "email": "{email}", "name": "{name}", "ts": {ts}, '
+            f'"added": {added}, "deleted": 0{end}}}')
+
+
+def _written(rows):
+    """The lines :func:`write_jsonl` writes for ``rows`` of ((email, name),
+    ts, added, deleted, parents), commit i having id ``c{i}``."""
+    commits = [CommitRecord(f"c{i}", AuthorId.from_raw(*pair), ts, added, deleted, *pair,
+                            parents)
+               for i, (pair, ts, added, deleted, parents) in enumerate(rows)]
+    return write_jsonl(ProjectHistory("w", commits)).split("\n")[:-1]
+
+
+_WRITTEN_LINES = st.lists(st.tuples(
+    st.sampled_from([("a@x", "Ann"), (" A@X", ""), ("", "Bob"), ("b@x", 'B"o'),
+                     ("c@x", "C\u00e9")]),
+    st.floats(0, 1e17) | st.sampled_from([0.0, 5e-324, 1e16, 1.5e300]),
+    st.integers(0, 2**52), st.integers(0, 2**52),
+    st.sampled_from([1, 1, 1, 0, 2, 3, 10**20])), max_size=10).map(_written)
+_MUTABLE = _canon(cid="m", name="M", ts="12.5", added="10", end=', "parents": 1')
+# a canonical line with one character replaced, inserted or deleted
+_MUTATED = st.tuples(st.integers(0, len(_MUTABLE)), st.integers(0, 1), st.sampled_from(
+    ["", '"', "\\", " ", "0", "9", "-", "+", ".", "e", "\x7f", "\u0661", "\x00", "\u00fc",
+     "\t", "\n", "\u2028"])).map(lambda t: _MUTABLE[:t[0]] + t[2] + _MUTABLE[t[0] + t[1]:])
+_CANON_WRITTEN = _written([(("a@x", "A"), 1.5, 1, 0, 1), (("b@x", "B"), 2.5, 0, 3, 1),
+                           (("a@x", "A"), 3.0, 2, 2, 2), (("c@x", "C"), 4e-7, 0, 0, 1),
+                           (("d@x", "D"), 5.0, 1, 1, 0)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_WRITTEN_LINES,
+       st.lists(st.tuples(_BAD_JSONL_LINES | _GOOD_RECORDS.map(json.dumps) | _MUTATED,
+                          st.integers(0, 12)), max_size=3),
+       st.integers(1, 4), st.booleans(), st.sampled_from(["\n", "\r\n"]))
+@example(_CANON_WRITTEN, [], 2, False, "\n")
+@example(_CANON_WRITTEN, [(_canon(ts="1e+16"), 1), (_canon(cid="f", ts="5e-324"), 3)],
+         2, False, "\n")
+@example(_CANON_WRITTEN, [(_canon(ts="-0.0"), 0)], 2, False, "\n")
+@example(_CANON_WRITTEN, [(_canon(ts="1e400"), 3)], 2, False, "\n")
+@example(_CANON_WRITTEN, [(_canon(ts="7"), 2)], 2, False, "\n")  # a plain-int ts
+@example(_CANON_WRITTEN, [(_canon(added="01"), 2)], 2, False, "\n")
+@example(_CANON_WRITTEN, [(_canon(added="-0"), 2)], 2, False, "\n")
+@example(_CANON_WRITTEN, [(_canon(added="1\u0661"), 2)], 2, False, "\n")  # Arabic-Indic
+@example(_CANON_WRITTEN, [(_canon(ts="1.\u0665"), 2)], 2, False, "\n")
+@example(_CANON_WRITTEN, [(_canon(name="A\x7fB"), 1), (_canon(cid="f", name="\u00e9"), 3)],
+         2, False, "\n")
+@example(_CANON_WRITTEN, [(_canon(name="A\tB"), 2)], 2, False, "\n")  # a raw control character
+@example(_CANON_WRITTEN, [(_canon(name="\\ud83d\\ude00 \\u00e9\\/\\n"), 1),
+                          (_canon(cid="f", name="\\ud800"), 3)], 2, False, "\n")  # escapes
+@example(_CANON_WRITTEN, [(_canon(name="\\x"), 1), (_canon(cid="f", name="\\u12"), 3)],
+         2, False, "\n")  # bad escapes
+@example(_CANON_WRITTEN, [(_canon() + "x", 2)], 2, False, "\n")  # text after the record
+@example(_CANON_WRITTEN, [(_canon(end=', "parents": 0'), 1),
+                          (_canon(cid="f", end=', "parents": 2'), 3)], 2, False, "\n")
+@example(_CANON_WRITTEN, [(_canon(end=', "parents": 0'), 1),
+                          (_canon(cid="f", end=', "parents": 2'), 3)], 2, True, "\n")
+@example(_CANON_WRITTEN, [], 3, False, "\r\n")
+@example(_CANON_WRITTEN, [("", 1)], 3, False, "\n")  # a blank line mid-chunk
+@example(_CANON_WRITTEN, [(_canon(cid="c0", ts="9.5"), 4)], 2, False, "\n")  # duplicate id
+@example(_CANON_WRITTEN, [(_canon(email="", name=" "), 3)], 2, False, "\n")
+@example([], [], 2, False, "\n")  # an empty text
+def test_canonical_reader_matches_loop_oracle(written, swaps, chunk, include_merges,
+                                              newline):
+    # write_jsonl output with lines swapped for non-canonical or faulty ones:
+    # parse_jsonl gives its record-by-record oracle's rows, or the same
+    # line-numbered ParseError, with canonical and decoded chunks alternating
+    lines = list(written)
+    for line, at in swaps:
+        lines[at:at + 1] = [line]
+    text = "".join(line + newline for line in lines)
+    expected = _outcome(loop_parse_jsonl, text, include_merges)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_CHUNK", chunk)
+        got = _outcome(parse_jsonl, text, include_merges)
+    if isinstance(expected, ParseError):
+        assert isinstance(got, ParseError), text
+        assert (str(got), got.line) == (str(expected), expected.line)
+    else:
+        assert got.commits == expected.commits
+
+
+def test_written_jsonl_is_read_by_the_pattern(monkeypatch):
+    # write_jsonl escapes every non-ASCII and control character, so its
+    # lines for commits without payloads are all canonical: none is decoded
+    monkeypatch.setattr(ingest, "_CHUNK", 4)
+    pairs = [("jos\u00e9@x", "Jos\u00e9 \u00d1\u00fa\u00f1ez"), ("li@x", "\u674e \U0001f600"),
+             ("b@x", 'B"o\\'), ("t@x", "T\tab\x7f"), ("a@x", "A")]
+    text = "\n".join(_written([(pairs[i % 5], i + 0.5, i, 1, 1) for i in range(30)])) + "\n"
+    expected = loop_parse_jsonl(text).commits
+    monkeypatch.setattr(ingest, "_json_line", None)
+    assert parse_jsonl(text).commits == expected
+
+
+def test_both_jsonl_readers_give_equal_columns(monkeypatch):
+    # a mixed text, read with and without the canonical reader: the same
+    # columns, identity and author numbering included
+    monkeypatch.setattr(ingest, "_CHUNK", 3)
+    lines = _written([((f"d{i % 5}@x", f"D{i % 4}"), i + 0.5, i, 1, [1, 1, 2, 0][i % 4])
+                      for i in range(30)])
+    for at in (4, 5, 13, 22):  # non-canonical lines in some chunks
+        lines[at] = json.dumps({"id": f"n{at}", "email": f"n{at % 3}@x", "ts": at})
+    text = "\n".join(lines) + "\n"
+    canonical = ingest._canonical_columns
+    for include_merges in (False, True):
+        read = []
+        monkeypatch.setattr(ingest, "_canonical_columns",
+                            lambda *args: read.append(canonical(*args)) or read[-1])
+        fast = parse_jsonl(text, include_merges=include_merges).columns
+        monkeypatch.setattr(ingest, "_canonical_columns", lambda *args: None)
+        decoded = parse_jsonl(text, include_merges=include_merges).columns
+        # 8 runs of canonical lines, and 4 decoded chunks that start at a
+        # non-canonical line or the empty last one
+        assert sum(c is not None for c in read) == 8
+        for a, b in zip(fast, decoded):
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype
+                assert a.tolist() == b.tolist()
+            else:
+                assert a == b
 
 
 def test_write_jsonl_matches_loop_oracle(rng):

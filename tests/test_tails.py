@@ -7,6 +7,7 @@ from scalemetrics.errors import DegenerateDataError, InsufficientDataError
 from scalemetrics.metrics import ProductionMeasure
 from scalemetrics.simulate import sample_pareto
 from scalemetrics.tails import (
+    N_BOOTSTRAP,
     ContributionDistribution,
     Regime,
     ccdf,
@@ -15,7 +16,7 @@ from scalemetrics.tails import (
     pareto_mle_fit,
     productivity_exponent,
 )
-from scalemetrics.tails import _candidate_cutoffs, _ks_best_fit
+from scalemetrics.tails import _bootstrap_ci, _candidate_cutoffs, _ks_best_fit
 
 from conftest import make_history, productions_for, timed_histories
 from oracle import loop_author_totals
@@ -203,3 +204,13 @@ def test_author_totals_match_loop_oracle(data):
         # in the order of each author's first available commit
         assert (ContributionDistribution.from_productions(h, productions).values
                 == expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0, 1e6) | st.sampled_from([0.5, 2.0]), min_size=1,
+                max_size=N_BOOTSTRAP))
+def test_bootstrap_ci_is_numpy_percentile(boots):
+    # the CI is np.percentile(boots, [2.5, 97.5]), the None resamples dropped
+    statistics = iter(boots + [None] * (N_BOOTSTRAP - len(boots)))
+    ci = _bootstrap_ci(np.zeros(2), lambda sample: next(statistics), 0.0, seed=1)
+    assert ci == tuple(np.percentile(boots, [2.5, 97.5]).tolist())

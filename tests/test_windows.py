@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,8 +16,16 @@ from scalemetrics.windows import (
     single_commit_share,
     team_windows,
 )
+from scalemetrics.windows import _distinct
 
 from conftest import make_history, random_history, timed_histories
+
+
+@given(st.lists(st.integers(-3, 3) | st.floats(-1e3, 1e3), max_size=20))
+def test_distinct_is_np_unique(values):
+    for array in (np.array(values, dtype=float), np.array(values).astype(np.int64)):
+        assert _distinct(array).tolist() == np.unique(array).tolist()
+        assert _distinct(array).dtype == np.unique(array).dtype
 
 
 def test_quantile_single_gap():
