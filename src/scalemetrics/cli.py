@@ -89,10 +89,10 @@ def _json_dumps(obj):
 def _history_summary(history):
     if len(history) == 0:
         return "0 commits"
-    span = history.columns.ts[-1] - history.columns.ts[0]
+    days = (history.columns.ts[-1] - history.columns.ts[0]) / DAY
     return (
         f"{len(history)} commits, {len(history.authors)} authors, "
-        f"span {span / DAY:.1f} days"
+        f"span {days:{'.6g' if days >= 1e15 else '.1f'}} days"  # not 300 digits
     )
 
 

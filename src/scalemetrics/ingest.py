@@ -14,8 +14,10 @@ Two input formats are supported:
   ``{id, email, name, ts, added, deleted, files:[{old,new}]?}``.
   This is the only format that can carry diff payloads for the
   edit-distance production measure, and it is also the canonical
-  serialization emitted by :func:`write_jsonl`, whose payload-free lines
-  are read in runs by one pattern, with the JSON decoder's results and errors.
+  serialization emitted by :func:`write_jsonl`. Each line is read once:
+  one pattern reads a payload-free line as :func:`write_jsonl` writes it,
+  with the JSON decoder's results and errors, and the decoder reads any
+  other line.
 
 Merge commits (parent_count >= 2) carry no numstat deltas and are excluded
 by default; pass ``include_merges=True`` to keep them.
@@ -26,12 +28,13 @@ source of truth, which both parsers and the simulators in
 :attr:`ProjectHistory.commits`, are a view built on first use, and
 ``ProjectHistory(name, commits)`` takes rows through
 :meth:`HistoryColumns.from_commits`. A record's rules are those
-:class:`CommitRecord` checks: the parsers check them a column at a time and
-make a record only to word the error of the first faulty line, as a
-line-numbered :class:`ParseError`. :meth:`AuthorId.normalize` is the one
-rule that turns a raw identity into a canonical key. A load sorts and
-id-checks its history once, in :meth:`ProjectHistory.build`;
-:func:`resolve_authors` keeps the order it is given.
+:class:`CommitRecord` checks: the parsers check them a column at a time,
+each JSONL chunk once, and make a record only to word the error of the
+first faulty line, as a line-numbered :class:`ParseError`.
+:meth:`AuthorId.normalize` is the one rule that turns a raw identity into a
+canonical key. A load sorts and id-checks its history once, in
+:meth:`ProjectHistory.build`; :func:`resolve_authors` keeps the order it is
+given.
 """
 
 from __future__ import annotations
@@ -70,12 +73,11 @@ _CHUNK = 4096
 _STR = r'"([^"\\\x00-\x1f]*(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*)*)"'
 _INT = r"(0|[1-9][0-9]{0,17})"  # an unsigned JSON integer that fits in int64
 #: a JSONL line as :func:`write_jsonl` writes a commit without a payload,
-#: with a ``ts`` that has a fraction or an exponent, as ``repr(float)`` has;
-#: any other line matches too, with every group None
+#: with a ``ts`` that has a fraction or an exponent, as ``repr(float)`` has
 _CANONICAL = (
-    rf'(?m)^(?:\{{"id": {_STR}, "email": {_STR}, "name": {_STR}, '
+    rf'\{{"id": {_STR}, "email": {_STR}, "name": {_STR}, '
     r'"ts": (-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)), '
-    rf'"added": {_INT}, "deleted": {_INT}(?:, "parents": {_INT})?\}}|.*)$')
+    rf'"added": {_INT}, "deleted": {_INT}(?:, "parents": {_INT})?\}}')
 
 
 @dataclass(frozen=True, order=True)
@@ -388,97 +390,73 @@ def _parse_payload(files, line_no):
     return tuple(payload)
 
 
-# the JSON types each record field may take, and the value a missing one
-# reads as; a bool is not an integer here
-_FIELDS = {"id": ((str,), None), "email": ((str, type(None)), None),
-           "name": ((str, type(None)), None), "ts": ((int, float), None),
-           "added": ((int,), 0), "deleted": ((int,), 0), "parents": ((int,), 1)}
+# the JSON types each record field may take; a bool is not an integer here
+_FIELDS = {"id": (str,), "email": (str, type(None)), "name": (str, type(None)),
+           "ts": (int, float), "added": (int,), "deleted": (int,), "parents": (int,)}
 
 
-def _check_jsonl_record(obj, line_no, include_merges):
-    """Check one decoded JSONL record rule by rule, in the order the format
-    states them; the first rule it breaks is a ParseError on ``line_no``."""
+def _jsonl_row(scan, line, line_no):
+    """The row of one JSONL line that the pattern does not read, decoded by
+    the decoder's ``scan``: (id, email, name, ts, added, deleted, parents,
+    payload). Bad JSON, a record of the wrong shape, a field of the wrong
+    type or a malformed ``files`` is a ParseError on ``line_no``."""
+    try:
+        obj = _json_line(scan, line)
+    except ValueError as exc:  # also an integer past Python's digit limit
+        raise ParseError(f"bad JSON: {getattr(exc, 'msg', exc)}", line=line_no) from None
     if not isinstance(obj, dict) or "id" not in obj or "ts" not in obj:
         raise ParseError("record must be an object with 'id' and 'ts'", line=line_no)
-    for key, (types, _) in _FIELDS.items():
+    for key, types in _FIELDS.items():
         if key in obj and type(obj[key]) not in types:
             raise ParseError(f"bad {key!r}: {json.dumps(obj[key])}", line=line_no)
     files = obj.get("files")
-    payload = None if files is None else _parse_payload(files, line_no)
-    parents = obj.get("parents", 1)
-    if parents < 2 or include_merges:
-        _record(line_no, obj["id"], obj.get("email") or "", obj.get("name") or "",
-                obj["ts"], obj.get("added", 0), obj.get("deleted", 0), parents, payload)
+    return (obj["id"], obj.get("email") or "", obj.get("name") or "", obj["ts"],
+            obj.get("added", 0), obj.get("deleted", 0), obj.get("parents", 1),
+            None if files is None else _parse_payload(files, line_no))
 
 
-def _jsonl_columns(objs, line_nos, include_merges, identities):
-    """The kept records of the decoded JSONL ``objs`` (on ``line_nos``) as
-    the columns of :func:`_checked_columns`, each rule of
-    :func:`_check_jsonl_record` checked once per column; None if a record
-    breaks one."""
-    if not {dict}.issuperset(map(type, objs)):
-        return None
-    columns = [[o.get(key, default) for o in objs] for key, (_, default) in _FIELDS.items()]
-    if not all(set(map(type, column)).issubset(types)
-               for column, (types, _) in zip(columns, _FIELDS.values())):
-        return None
-    payload = [o.get("files") for o in objs]
-    if payload.count(None) == len(payload):
-        payload = None
-    else:
-        try:
-            payload = [None if f is None else _parse_payload(f, None) for f in payload]
-        except ParseError:
-            return None
-    ids, emails, names, ts, added, deleted, parents = columns
-    if None in emails or None in names:  # a null email or name reads as ""
-        emails, names = [e or "" for e in emails], [n or "" for n in names]
-    return _checked_columns(line_nos, ids, emails, names, ts, added, deleted, parents,
-                            payload, include_merges, identities)
-
-
-def _canonical_columns(fields, first, include_merges, identities):
-    """The columns of :func:`_jsonl_columns` (None if a record breaks a rule)
-    for the :data:`_CANONICAL` lines of groups ``fields`` from line ``first``
-    on, whose numbers json reads as float and int of their text."""
-    ids, emails, names, ts, added, deleted, parents = zip(*fields)
-    if "\\" in "".join(ids + emails + names):  # json reads each escape
-        ids, emails, names = ([json.loads(f'"{s}"') if "\\" in s else s for s in column]
-                              for column in (ids, emails, names))
-    parents = [int(p or 1) for p in parents] if any(parents) else [1] * len(ids)
-    return _checked_columns(range(first, first + len(ids)), ids, emails, names,
-                            ts, added, deleted, parents, None, include_merges, identities)
-
-
-def _checked_columns(line_nos, ids, emails, names, ts, added, deleted, parents, payload,
-                     include_merges, identities):
-    """The kept records of one chunk's columns as (line_nos, ids, ts,
-    identity, added, deleted, parents, payload); None if one breaks a rule of
-    :class:`CommitRecord`. ``identities`` numbers each raw (email, name) met
-    so far, and gains the chunk's new ones only if the chunk is kept."""
+def _checked_columns(first, rows, include_merges, identities):
+    """The kept ``rows`` of one chunk, row i on line ``first + i`` and None
+    for a blank line, as the columns (line_nos, ids, ts, identity, added,
+    deleted, parents, payload), each rule of :class:`CommitRecord` checked
+    once per column; if a row breaks one, the ParseError of the first faulty
+    record. A row's numbers may be the pattern's digit strings.
+    ``identities`` numbers each raw (email, name) met so far, and gains the
+    chunk's new ones."""
+    line_nos = range(first, first + len(rows))
+    if None in rows:
+        line_nos = [n for n, row in zip(line_nos, rows) if row is not None]
+        rows = [row for row in rows if row is not None]
+    columns = [line_nos, *zip(*rows)] if rows else [()] * 9
+    parents = columns[7]
+    if parents.count(1) < len(parents):  # else every count is 1 already
+        columns[7] = parents = list(map(int, parents))
     if not include_merges and max(parents, default=1) >= 2:
         keep = [p < 2 for p in parents]
-        line_nos, ids, emails, names, ts, added, deleted, parents = (
-            [v for v, k in zip(column, keep) if k]
-            for column in (line_nos, ids, emails, names, ts, added, deleted, parents))
-        payload = payload and [v for v, k in zip(payload, keep) if k]
-    try:
-        ts = np.fromiter(map(float, ts), dtype=float, count=len(ts))
-        added = np.array(added, dtype=np.int64)  # also of the pattern's digit strings
-        deleted = np.array(deleted, dtype=np.int64)
-    except OverflowError:  # a count past int64 is past MAX_LINES too
-        return None
-    total = added + deleted  # wraps only where a count is past MAX_LINES
-    if ("" in ids or not np.all((ts >= 0) & (ts < math.inf)) or min(parents, default=0) < 0
-            or np.any((added < 0) | (deleted < 0) | (added > MAX_LINES)
-                      | (deleted > MAX_LINES) | (total > MAX_LINES))):
-        return None
+        columns = [[v for v, k in zip(column, keep) if k] for column in columns]
+    line_nos, ids, emails, names, ts, added, deleted, parents, payload = columns
     pairs = list(zip(emails, names))
     new = [pair for pair in dict.fromkeys(pairs) if pair not in identities]
-    if not all(AuthorId.normalize(*pair) for pair in new):
-        return None
+    try:
+        ts = np.fromiter(map(float, ts), dtype=float, count=len(ts))
+        added = np.array(added, dtype=np.int64)
+        deleted = np.array(deleted, dtype=np.int64)
+        total = added + deleted  # wraps only where a count is past MAX_LINES
+        faulty = ("" in ids or not np.all((ts >= 0) & (ts < math.inf))
+                  or min(parents, default=0) < 0
+                  or np.any((added < 0) | (deleted < 0) | (added > MAX_LINES)
+                            | (deleted > MAX_LINES) | (total > MAX_LINES))
+                  or not all(AuthorId.normalize(*pair) for pair in new))
+    except OverflowError:  # a count past int64 is past MAX_LINES too
+        faulty = True
+    if faulty:  # the record check raises at the first faulty record
+        for line_no, i, e, n, t, a, d, p, f in zip(*columns):
+            _record(line_no, i, e, n, t, int(a), int(d), p, f)
+        raise AssertionError(f"lines {line_nos[0]}-{line_nos[-1]}: the column "
+                             "checks refused records the record check accepts")
     identities.update(zip(new, range(len(identities), len(identities) + len(new))))
     identity = np.array(list(map(identities.__getitem__, pairs)), dtype=np.intp)
+    payload = None if payload.count(None) == len(payload) else list(payload)
     return line_nos, ids, ts, identity, added, deleted, parents, payload
 
 
@@ -498,50 +476,37 @@ def _json_line(scan, line):
 def parse_jsonl(text, project_name="project", include_merges=False):
     """Parse the JSONL commit format.
 
-    Lines are read :data:`_CHUNK` at a time. The run of :data:`_CANONICAL`
-    lines that starts a chunk is read by that pattern if its records keep
-    every rule, and the next chunk starts after it. Any other chunk is
-    decoded line by line and checked a column at a time; a chunk that holds a
-    faulty record is checked again record by record, so the error is that of
-    its first faulty line, worded as the record check words it.
+    Each line is read once: a line that :data:`_CANONICAL` matches becomes
+    a row of its groups, a blank line is skipped, and any other line is
+    decoded and checked on its own. Lines are read :data:`_CHUNK` at a
+    time, and each chunk's rows are checked once, a column at a time; the
+    error of a faulty chunk is that of its first faulty line, worded as the
+    record check words it.
     """
     chunks, identities = [], {}
     scan = json.JSONDecoder().scan_once
+    match = re.compile(_CANONICAL).fullmatch
     lines = _lines(text)
-    start = 0
-    while start < len(lines):
+    for start in range(0, len(lines), _CHUNK):
         chunk = lines[start:start + _CHUNK]
-        # the groups of the leading run of canonical lines, one match a line
-        found = []
-        for match in re.finditer(_CANONICAL, "\n".join(chunk)):
-            if not match[4]:
-                break
-            found.append(match.groups())
-        columns = found and _canonical_columns(found, start + 1, include_merges, identities)
-        if columns:
-            chunks.append(columns)
-            start += len(found)
-            continue
-        objs, line_nos, error = [], [], None
-        for line_no, line in enumerate(chunk, start + 1):
-            if not line.strip():
-                continue
-            try:
-                objs.append(_json_line(scan, line))
-            except ValueError as exc:  # also an integer past Python's digit limit
-                error = ParseError(f"bad JSON: {getattr(exc, 'msg', exc)}", line=line_no)
-                break
-            line_nos.append(line_no)
-        columns = _jsonl_columns(objs, line_nos, include_merges, identities)
-        if columns is None:  # the record check raises at the first faulty record
-            for obj, line_no in zip(objs, line_nos):
-                _check_jsonl_record(obj, line_no, include_merges)
-            raise AssertionError(f"lines {line_nos[0]}-{line_nos[-1]}: the column "
-                                 "checks refused records the record check accepts")
-        if error is not None:  # after the lines before it have been checked
+        rows, error = [], None  # row i is line start + 1 + i's
+        for line, found in zip(chunk, map(match, chunk)):
+            if found:  # a missing "parents" reads as 1, and there is no payload
+                row = found.groups(1) + (None,)
+                if "\\" in line:  # json reads each escape
+                    row = (*(json.loads(f'"{s}"') for s in row[:3]), *row[3:])
+            elif not line.strip():
+                row = None
+            else:
+                try:
+                    row = _jsonl_row(scan, line, start + 1 + len(rows))
+                except ParseError as exc:  # raised after the rows before it
+                    error = exc
+                    break
+            rows.append(row)
+        chunks.append(_checked_columns(start + 1, rows, include_merges, identities))
+        if error is not None:
             raise error
-        chunks.append(columns)
-        start += _CHUNK
     line_nos, ids, ts, identity, added, deleted, parents, payloads = zip(*chunks)
     payload = None
     if any(p is not None for p in payloads):

@@ -199,6 +199,18 @@ def test_huge_timestamp_is_a_data_error(tmp_path):
     assert "2**53 windows" in run.stderr
 
 
+@pytest.mark.parametrize("days, printed", [
+    (1.5, "1.5"), (9e14, "900000000000000.0"), (2e15, "2e+15"),
+    (1e300 / 86400, "1.15741e+295")])
+def test_history_span_prints_short(days, printed, tmp_path, capsys):
+    # a span of 10**15 days or more prints in :.6g form, a shorter one in full
+    src = tmp_path / "span.jsonl"
+    src.write_text('{"id": "a", "email": "a@x", "ts": 0}\n'
+                   f'{{"id": "b", "email": "a@x", "ts": {days * 86400!r}}}\n')
+    assert main(["ingest", str(src), "-o", str(tmp_path / "out.jsonl")]) == 0
+    assert capsys.readouterr().err == f"2 commits, 1 authors, span {printed} days\n"
+
+
 def test_cli_import_loads_no_scipy():
     src = str(Path(scalemetrics.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -358,31 +359,48 @@ def test_written_jsonl_is_read_by_the_pattern(monkeypatch):
 
 
 def test_both_jsonl_readers_give_equal_columns(monkeypatch):
-    # a mixed text, read with and without the canonical reader: the same
-    # columns, identity and author numbering included
+    # write_jsonl lines, which the pattern reads, and the same records as
+    # compact JSON, which is decoded, alone and mixed inside each chunk: the
+    # same columns, identity and author numbering included
     monkeypatch.setattr(ingest, "_CHUNK", 3)
-    lines = _written([((f"d{i % 5}@x", f"D{i % 4}"), i + 0.5, i, 1, [1, 1, 2, 0][i % 4])
-                      for i in range(30)])
-    for at in (4, 5, 13, 22):  # non-canonical lines in some chunks
-        lines[at] = json.dumps({"id": f"n{at}", "email": f"n{at % 3}@x", "ts": at})
-    text = "\n".join(lines) + "\n"
-    canonical = ingest._canonical_columns
+    pairs = [(f"d{i}@x", f"D{i}") for i in range(4)] + [("jos\u00e9@x", "Jos\u00e9")]
+    canonical = _written([(pairs[i % 5], i + 0.5, i, 1, [1, 1, 2, 0][i % 4])
+                          for i in range(30)])
+    compact = [json.dumps(json.loads(line), separators=(",", ":")) for line in canonical]
+    pattern = re.compile(ingest._CANONICAL)
+    assert all(map(pattern.fullmatch, canonical)) and not any(map(pattern.fullmatch, compact))
+    mixed = [(compact if i % 2 else canonical)[i] for i in range(30)]
     for include_merges in (False, True):
-        read = []
-        monkeypatch.setattr(ingest, "_canonical_columns",
-                            lambda *args: read.append(canonical(*args)) or read[-1])
-        fast = parse_jsonl(text, include_merges=include_merges).columns
-        monkeypatch.setattr(ingest, "_canonical_columns", lambda *args: None)
-        decoded = parse_jsonl(text, include_merges=include_merges).columns
-        # 8 runs of canonical lines, and 4 decoded chunks that start at a
-        # non-canonical line or the empty last one
-        assert sum(c is not None for c in read) == 8
-        for a, b in zip(fast, decoded):
-            if isinstance(a, np.ndarray):
-                assert a.dtype == b.dtype
-                assert a.tolist() == b.tolist()
-            else:
-                assert a == b
+        expected = parse_jsonl("\n".join(canonical) + "\n", include_merges=include_merges)
+        for lines in (compact, mixed):
+            got = parse_jsonl("\n".join(lines) + "\n", include_merges=include_merges)
+            for a, b in zip(got.columns, expected.columns, strict=True):
+                if isinstance(a, np.ndarray):
+                    assert a.dtype == b.dtype
+                    assert a.tolist() == b.tolist()
+                else:
+                    assert a == b
+
+
+def test_odd_lines_alone_are_decoded(monkeypatch):
+    # blank lines and plain-integer ts lines among canonical ones: each
+    # line that is neither canonical nor blank is decoded once, and no other
+    text = write_jsonl(ProjectHistory("w", [
+        CommitRecord(f"c{i}", AuthorId(f"d{i % 7}@x"), float(i), i % 5, 1, f"d{i % 7}@x")
+        for i in range(10_000)]))
+    lines = text.split("\n")[:-1]
+    for i in (3, 2000, 4097, 4098, 9999):
+        lines[i] = lines[i].replace(f'"ts": {i}.0,', f'"ts": {i},')
+    odd = [line for line in lines if '.0, "added"' not in line]
+    for i in range(10_000, 0, -2000):
+        lines.insert(i, "")
+    text = "\n".join(lines) + "\n"
+    decoded = []
+    json_line = ingest._json_line
+    monkeypatch.setattr(ingest, "_json_line",
+                        lambda scan, line: decoded.append(line) or json_line(scan, line))
+    assert parse_jsonl(text).commits == loop_parse_jsonl(text).commits
+    assert len(odd) == 5 and decoded == odd
 
 
 def test_write_jsonl_matches_loop_oracle(rng):
