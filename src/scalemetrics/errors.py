@@ -29,4 +29,4 @@ class DegenerateDataError(ScaleMetricsError):
 
 class MeasureUnavailableError(ScaleMetricsError):
     """A production measure cannot be computed for a commit (missing diff
-    payload, or payload exceeding the size cap)."""
+    payload, or a payload pair past the edit-distance cell budget)."""

@@ -22,15 +22,15 @@ Two input formats are supported:
 Merge commits (parent_count >= 2) carry no numstat deltas and are excluded
 by default; pass ``include_merges=True`` to keep them.
 
-A :class:`ProjectHistory` holds its commits as :class:`HistoryColumns`, the
-source of truth, which both parsers and the simulators in
-:mod:`scalemetrics.simulate` fill directly; the :class:`CommitRecord` rows,
-:attr:`ProjectHistory.commits`, are a view built on first use, and
-``ProjectHistory(name, commits)`` takes rows through
-:meth:`HistoryColumns.from_commits`. A record's rules are those
-:class:`CommitRecord` checks: the parsers check them a column at a time,
-each JSONL chunk once, and make a record only to word the error of the
-first faulty line, as a line-numbered :class:`ParseError`.
+A :class:`ProjectHistory` is its :class:`HistoryColumns` and nothing else:
+both parsers and the simulators in :mod:`scalemetrics.simulate` fill them
+directly, ``ProjectHistory(name, commits)`` turns :class:`CommitRecord` rows
+into them through :meth:`HistoryColumns.from_commits`, and
+:attr:`ProjectHistory.commits`, the rows, is a view built on first use.
+A record's rules are those :class:`CommitRecord` checks, and every parsed
+record passes them in one place, :func:`_checked_columns`: a column at a
+time, each block of records once, with a record made only to word the
+error of the first faulty one, as a line-numbered :class:`ParseError`.
 :meth:`AuthorId.normalize` is the one rule that turns a raw identity into a
 canonical key. A load sorts and id-checks its history once, in
 :meth:`ProjectHistory.build`; :func:`resolve_authors` keeps the order it is
@@ -42,7 +42,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -195,18 +195,15 @@ def _renumber(codes, table):
 
 
 class ProjectHistory:
-    """A named commit history. Its :class:`HistoryColumns`, ``columns``,
-    are the source of truth; :attr:`commits` is their row view."""
+    """A named commit history: its name and its :class:`HistoryColumns`,
+    ``columns``, which are all it holds; :attr:`commits` is their row view."""
 
     def __init__(self, project_name, commits=()):
-        """``commits``: the :class:`CommitRecord` rows in history order, or
-        their :class:`HistoryColumns`."""
+        """``commits``: the :class:`HistoryColumns`, or :class:`CommitRecord`
+        rows in history order, which are kept only as their columns."""
         self.project_name = project_name
-        if isinstance(commits, HistoryColumns):
-            self.columns = commits
-        else:
-            self.commits = tuple(commits)
-            self.columns = HistoryColumns.from_commits(self.commits)
+        self.columns = (commits if isinstance(commits, HistoryColumns)
+                        else HistoryColumns.from_commits(tuple(commits)))
 
     @classmethod
     def build(cls, project_name, commits):
@@ -267,26 +264,29 @@ def _record(line_no, commit_id, email, name, ts, added, deleted, parents=1, payl
         raise ParseError(str(exc), line=line_no) from None
 
 
-def _parsed(project_name, line_nos, identities, ids, ts, identity, added, deleted,
-            parents, payload):
-    """The sorted, id-checked history of checked records given column by
-    column in input order, ``line_nos[i]`` being the line of record i and
-    ``identities`` the (raw_email, raw_name) of each identity code, in code
-    order; a duplicate id is a ParseError on the line of its second record."""
+def _parsed(project_name, identities, chunks):
+    """The sorted, id-checked history of the ``chunks`` of records, in input
+    order, that :func:`_checked_columns` checked and numbered with
+    ``identities``, each (raw_email, raw_name) in code order; a duplicate id
+    is a ParseError on the line of its second record."""
+    line_nos, ids, ts, identity, added, deleted, parents, payloads = zip(*chunks)
+    ids, identity = [x for c in ids for x in c], np.concatenate(identity)
+    payload = None
+    if any(p is not None for p in payloads):
+        payload = [x for p, n in zip(payloads, line_nos) for x in p or [None] * len(n)]
     authors = {}
     author = np.array([authors.setdefault(AuthorId.normalize(*pair), len(authors))
-                       for pair in identities],
-                      dtype=np.intp)[np.asarray(identity, dtype=np.intp)]
+                       for pair in identities], dtype=np.intp)[identity]
     columns = HistoryColumns(
-        np.asarray(ts, dtype=float), author, tuple(map(AuthorId, authors)),
-        np.array(ids, dtype=object), np.asarray(added, dtype=np.int64),
-        np.asarray(deleted, dtype=np.int64), np.array(parents, dtype=object),
-        np.asarray(identity, dtype=np.intp), tuple(identities), payload)
+        np.concatenate(ts), author, tuple(map(AuthorId, authors)),
+        np.array(ids, dtype=object), np.concatenate(added), np.concatenate(deleted),
+        np.array([x for c in parents for x in c], dtype=object), identity,
+        tuple(identities), payload)
     try:
         return ProjectHistory.build(project_name, columns)
     except ParseError:
         seen = set()
-        for commit_id, line_no in zip(ids, line_nos):
+        for commit_id, line_no in zip(ids, (n for c in line_nos for n in c)):
             if commit_id in seen:
                 raise ParseError(f"duplicate commit id {commit_id!r}",
                                  line=line_no) from None
@@ -323,55 +323,57 @@ def _parse_numstat_field(raw, line_no):
 
 
 def parse_commit_log(text, project_name="project", include_merges=False):
-    """Parse the pinned pipe-delimited commit-log format."""
-    line_nos, ids, ts, identity, added, deleted, parents = [], [], [], [], [], [], []
-    identities = {}
-    lines = _lines(text)
-    i = 0
-    while i < len(lines):
-        line = lines[i]
-        if not line.strip():
-            i += 1
-            continue
-        header_no = i + 1
-        parts = line.split("|")
-        if len(parts) != 6 or parts[0] != "C":
-            raise ParseError(f"malformed header {line!r}", line=header_no)
-        _, commit_id, email, name, ts_raw, parents_raw = parts
-        if not commit_id:
-            raise ParseError("empty commit id", line=header_no)
+    """Parse the pinned pipe-delimited commit-log format, merges skipped as
+    they are read and each :data:`_CHUNK` records checked once. A malformed
+    header or numstat row, or an empty commit id, ends the read; it is raised
+    after the records before it are checked: the first faulty line's error."""
+    lines, i, chunks, identities, error = _lines(text), 0, [], {}, None
+    while i < len(lines) and error is None:
+        line_nos, ids, emails, names, ts, added, deleted, parents = ([] for _ in range(8))
         try:
-            when = float(ts_raw)
-            parent_count = int(parents_raw)
-        except ValueError:
-            raise ParseError(f"malformed header {line!r}", line=header_no) from None
-        lines_added = lines_deleted = 0
-        i += 1
-        while i < len(lines) and lines[i].strip():
-            cols = lines[i].split("\t")
-            if len(cols) < 3:
-                raise ParseError(f"malformed numstat row {lines[i]!r}", line=i + 1)
-            lines_added += _parse_numstat_field(cols[0], i + 1)
-            lines_deleted += _parse_numstat_field(cols[1], i + 1)
-            i += 1
-        if parent_count >= 2 and not include_merges:
-            continue
-        known = len(identities)
-        code = identities.setdefault((email, name), known)
-        if (code == known and not AuthorId.normalize(email, name)
-                or not (0 <= when < math.inf and lines_added + lines_deleted <= MAX_LINES
-                        and parent_count >= 0)):
-            _record(header_no, commit_id, email, name, when, lines_added, lines_deleted,
-                    parent_count)  # raises the record's error
-        line_nos.append(header_no)
-        ids.append(commit_id)
-        ts.append(when)
-        identity.append(code)
-        added.append(lines_added)
-        deleted.append(lines_deleted)
-        parents.append(parent_count)
-    return _parsed(project_name, line_nos, identities, ids, ts, identity, added, deleted,
-                   parents, None)
+            while i < len(lines) and len(ids) < _CHUNK:
+                line = lines[i]
+                if not line.strip():
+                    i += 1
+                    continue
+                header_no = i + 1
+                parts = line.split("|")
+                if len(parts) != 6 or parts[0] != "C":
+                    raise ParseError(f"malformed header {line!r}", line=header_no)
+                _, commit_id, email, name, ts_raw, parents_raw = parts
+                if not commit_id:
+                    raise ParseError("empty commit id", line=header_no)
+                try:
+                    when = float(ts_raw)
+                    parent_count = int(parents_raw)
+                except ValueError:
+                    raise ParseError(f"malformed header {line!r}", line=header_no) from None
+                lines_added = lines_deleted = 0
+                i += 1
+                while i < len(lines) and lines[i].strip():
+                    cols = lines[i].split("\t")
+                    if len(cols) < 3:
+                        raise ParseError(f"malformed numstat row {lines[i]!r}", line=i + 1)
+                    lines_added += _parse_numstat_field(cols[0], i + 1)
+                    lines_deleted += _parse_numstat_field(cols[1], i + 1)
+                    i += 1
+                if parent_count >= 2 and not include_merges:
+                    continue
+                line_nos.append(header_no)
+                ids.append(commit_id)
+                emails.append(email)
+                names.append(name)
+                ts.append(when)
+                added.append(lines_added)
+                deleted.append(lines_deleted)
+                parents.append(parent_count)
+        except ParseError as exc:  # raised after the records before it are checked
+            error = exc
+        columns = ids, emails, names, ts, added, deleted, parents, [None] * len(ids)
+        chunks.append(_checked_columns(line_nos, columns, include_merges, identities))
+    if error is not None:
+        raise error
+    return _parsed(project_name, identities, chunks)
 
 
 def _parse_payload(files, line_no):
@@ -415,19 +417,15 @@ def _jsonl_row(scan, line, line_no):
             None if files is None else _parse_payload(files, line_no))
 
 
-def _checked_columns(first, rows, include_merges, identities):
-    """The kept ``rows`` of one chunk, row i on line ``first + i`` and None
-    for a blank line, as the columns (line_nos, ids, ts, identity, added,
-    deleted, parents, payload), each rule of :class:`CommitRecord` checked
-    once per column; if a row breaks one, the ParseError of the first faulty
-    record. A row's numbers may be the pattern's digit strings.
-    ``identities`` numbers each raw (email, name) met so far, and gains the
-    chunk's new ones."""
-    line_nos = range(first, first + len(rows))
-    if None in rows:
-        line_nos = [n for n, row in zip(line_nos, rows) if row is not None]
-        rows = [row for row in rows if row is not None]
-    columns = [line_nos, *zip(*rows)] if rows else [()] * 9
+def _checked_columns(line_nos, columns, include_merges, identities):
+    """The kept records of the ``columns`` (ids, emails, names, ts, added,
+    deleted, parents, payload), record i on line ``line_nos[i]``, as (line_nos,
+    ids, ts, identity, added, deleted, parents, payload), each rule of
+    :class:`CommitRecord` checked once per column; if a record breaks one,
+    the ParseError of the first faulty record. A number may be the pattern's
+    digit string. ``identities`` numbers each raw (email, name) met so far,
+    and gains the records' new ones, also when the records are refused."""
+    columns = [line_nos, *(list(columns) or [()] * 8)]  # zip(*rows) of no rows is empty
     parents = columns[7]
     if parents.count(1) < len(parents):  # else every count is 1 already
         columns[7] = parents = list(map(int, parents))
@@ -435,8 +433,10 @@ def _checked_columns(first, rows, include_merges, identities):
         keep = [p < 2 for p in parents]
         columns = [[v for v, k in zip(column, keep) if k] for column in columns]
     line_nos, ids, emails, names, ts, added, deleted, parents, payload = columns
-    pairs = list(zip(emails, names))
-    new = [pair for pair in dict.fromkeys(pairs) if pair not in identities]
+    known = len(identities)  # numbered before the check, as a refusal ends the parse
+    identity = np.array([identities.setdefault(pair, len(identities))
+                         for pair in zip(emails, names)], dtype=np.intp)
+    new = list(identities)[known:]
     try:
         ts = np.fromiter(map(float, ts), dtype=float, count=len(ts))
         added = np.array(added, dtype=np.int64)
@@ -454,8 +454,6 @@ def _checked_columns(first, rows, include_merges, identities):
             _record(line_no, i, e, n, t, int(a), int(d), p, f)
         raise AssertionError(f"lines {line_nos[0]}-{line_nos[-1]}: the column "
                              "checks refused records the record check accepts")
-    identities.update(zip(new, range(len(identities), len(identities) + len(new))))
-    identity = np.array(list(map(identities.__getitem__, pairs)), dtype=np.intp)
     payload = None if payload.count(None) == len(payload) else list(payload)
     return line_nos, ids, ts, identity, added, deleted, parents, payload
 
@@ -504,17 +502,14 @@ def parse_jsonl(text, project_name="project", include_merges=False):
                     error = exc
                     break
             rows.append(row)
-        chunks.append(_checked_columns(start + 1, rows, include_merges, identities))
+        line_nos = range(start + 1, start + 1 + len(rows))
+        if None in rows:
+            line_nos = [n for n, row in zip(line_nos, rows) if row is not None]
+            rows = [row for row in rows if row is not None]
+        chunks.append(_checked_columns(line_nos, zip(*rows), include_merges, identities))
         if error is not None:
             raise error
-    line_nos, ids, ts, identity, added, deleted, parents, payloads = zip(*chunks)
-    payload = None
-    if any(p is not None for p in payloads):
-        payload = [x for p, n in zip(payloads, line_nos) for x in p or [None] * len(n)]
-    return _parsed(project_name, [x for c in line_nos for x in c], identities,
-                   [x for c in ids for x in c], np.concatenate(ts),
-                   np.concatenate(identity), np.concatenate(added),
-                   np.concatenate(deleted), [x for c in parents for x in c], payload)
+    return _parsed(project_name, identities, chunks)
 
 
 def write_jsonl(history):
@@ -600,13 +595,5 @@ def resolve_authors(history, alias_map=None, drop_authors=()):
     author = np.array([-1 if a is None else codes.setdefault(a, len(codes))
                        for a in resolved], dtype=np.intp)[inverse]
     keep = author >= 0
-    result = ProjectHistory(history.project_name,
-                            cols._replace(author=author, authors=tuple(codes)).take(keep))
-    if "commits" in vars(history):
-        # rows already built: a kept row whose author is unchanged stays as it is
-        new = result.columns
-        result.commits = tuple(
-            c if c.author == a else replace(c, author=a)
-            for c, a in zip((c for c, k in zip(history.commits, keep.tolist()) if k),
-                            map(new.authors.__getitem__, new.author.tolist())))
-    return result
+    return ProjectHistory(history.project_name,
+                          cols._replace(author=author, authors=tuple(codes)).take(keep))

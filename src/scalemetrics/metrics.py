@@ -2,8 +2,8 @@
 
 Supported measures: commit counts, added/deleted/total lines of code, and
 the Levenshtein edit distance of diff payloads. Edit distance is computed
-byte-level on UTF-8 with the fixed 1 MiB per-side cap :data:`DEFAULT_SIZE_CAP`;
-commits whose payload is missing or over the cap are excluded from that
+byte-level on UTF-8 within :data:`DEFAULT_CELL_BUDGET` cells per pair;
+commits whose payload is missing or over the budget are excluded from that
 measure's totals and counted in a coverage statistic rather than truncated.
 
 The edit distance uses Hyyrö's global-distance form of Myers' bit-parallel
@@ -34,7 +34,8 @@ import numpy as np
 from .errors import MeasureUnavailableError
 from .windows import resolve_window_length, team_windows
 
-DEFAULT_SIZE_CAP = 1 << 20  # 1 MiB per side
+#: the most DP cells, len(a) * len(b) in bytes, that one edit distance may cost
+DEFAULT_CELL_BUDGET = 2**32  # two 64 KiB sides: about 2 s bit-parallel
 
 __all__ = [
     "ProductionMeasure",
@@ -83,18 +84,17 @@ def levenshtein_distance(a, b):
     shorter side is the pattern, one bit per byte, and each byte of the
     longer side advances the whole DP column with a few big-int operations,
     about ceil(m/64)*n word operations in all. Each side is a str, bytes
-    or bytearray (anything else raises TypeError); inputs larger than
-    :data:`DEFAULT_SIZE_CAP` bytes per side raise MeasureUnavailableError.
+    or bytearray (anything else raises TypeError); a pair of more than
+    :data:`DEFAULT_CELL_BUDGET` m*n cells raises MeasureUnavailableError.
     """
     for side in (a, b):
         if not isinstance(side, (str, bytes, bytearray)):
             raise TypeError(f"edit distance needs str or bytes, got {type(side).__name__}")
     xs = a.encode("utf-8") if isinstance(a, str) else bytes(a)
     ys = b.encode("utf-8") if isinstance(b, str) else bytes(b)
-    if len(xs) > DEFAULT_SIZE_CAP or len(ys) > DEFAULT_SIZE_CAP:
-        raise MeasureUnavailableError(
-            f"input exceeds size cap ({max(len(xs), len(ys))} > {DEFAULT_SIZE_CAP} bytes)"
-        )
+    if len(xs) * len(ys) > DEFAULT_CELL_BUDGET:
+        raise MeasureUnavailableError(f"input exceeds cell budget ({len(xs)} x {len(ys)} "
+                                      f"bytes > {DEFAULT_CELL_BUDGET} cells)")
     if len(xs) > len(ys):
         xs, ys = ys, xs
     if not xs:

@@ -13,10 +13,11 @@
 
 Every Pareto draw goes through one inverse-CDF sampler. No generator makes
 more than :data:`DEFAULT_EVENT_CAP` commits: each truncates or refuses
-(ValueError) before it draws. All three history generators fill the
-history's columns directly, through the parsers' one constructor of checked
-columns (one shared :class:`~scalemetrics.ingest.AuthorId` per author), and
-build each history once; none makes a commit record.
+(ValueError) before it draws, as does a window length or horizon that would
+put a commit time below 0 or past the float range. All three history
+generators fill the history's columns directly, through the parsers' one
+constructor (one shared :class:`~scalemetrics.ingest.AuthorId` per author),
+and build each history once; none makes a commit record.
 
 All generators take an integer seed; trials and windows draw from RNG
 streams derived from (seed, task index) so results do not depend on
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import ProjectHistory, _parsed, _record
+from .ingest import ProjectHistory, _parsed
 from .scaling import ols
 from .windows import DAY, _distinct
 
@@ -160,8 +161,8 @@ class BranchingModel:
         if not (0 < self.immigrant_rate < np.inf
                 and 0 < self.offspring_delay_scale < np.inf):
             raise ValueError("rates and delay scales must be positive and finite")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not 0 < self.horizon < np.inf:
+            raise ValueError("horizon must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -224,13 +225,10 @@ def _sim_history(project_name, prefix, times, authors):
     codes = {}
     identity = [codes.setdefault(a, len(codes)) for a in authors]
     identities = [(f"dev{a}@sim", f"dev {a}") for a in codes]
-    bad = np.flatnonzero(~((ts >= 0) & (ts < np.inf)))
-    if len(bad):  # a time past the float range: the record's error
-        i = int(bad[0])
-        _record(i + 1, ids[i], *identities[identity[i]], ts[i], 1, 0)
     n = len(ts)
-    return _parsed(project_name, range(1, n + 1), identities, ids, ts, identity,
-                   np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64), [1] * n, None)
+    return _parsed(project_name, identities, [(
+        range(1, n + 1), ids, ts, np.array(identity, dtype=np.intp),
+        np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64), [1] * n, None)])
 
 
 def _check_commit_count(commits):
@@ -240,7 +238,9 @@ def _check_commit_count(commits):
                          f"{DEFAULT_EVENT_CAP} commits")
 
 
-def _check_span(windows, window_length):  # else the commit times overflow
+def _check_span(windows, window_length):  # else a commit time is negative or overflows
+    if not window_length > 0:
+        raise ValueError(f"window_length must be positive, got {window_length:g} s")
     if not np.isfinite(windows * window_length):
         raise ValueError(f"window_length = {window_length:g} s is too long: {windows} "
                          "windows of it pass the float range")

@@ -212,6 +212,10 @@ _ALIASES = {"a@x": "c@x", "ann": "a@x"}
          ["C|m|a@x|A|1|2\n", "C|m|b@x|B|2|1\n"], False)
 @example(['{"id": "g", "email": "b@x", "ts": 1, "parents": 2}', _GOOD],
          ["C|m|a@x|A|1|2\n", "C|m|b@x|B|2|1\n"], True)
+# a faulty record's malformed numstat row (line 2) is its error, and a
+# faulty record (line 1) wins over a later malformed header (line 3)
+@example([], ["C|a|||0|0", "C|a|a@x|Ann|0|0"], False)
+@example([], ["C|a|||0|0\n", "X|b"], False)
 def test_parsers_fuzz(jsonl_lines, log_lines, include_merges):
     # each parser gives the rows of its record-by-record oracle, or the same
     # line-numbered ParseError; on a parsed history, resolve_authors and
@@ -257,6 +261,27 @@ def test_parse_jsonl_chunks_match_loop_oracle(chunk, monkeypatch):
             for include_merges in (False, True):
                 expected = _outcome(loop_parse_jsonl, text, include_merges)
                 got = _outcome(parse_jsonl, text, include_merges)
+                if isinstance(expected, ParseError):
+                    assert (str(got), got.line) == (str(expected), expected.line)
+                else:
+                    assert got.commits == expected.commits
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_parse_commit_log_chunks_match_loop_oracle(chunk, monkeypatch):
+    # records, merges and faults on either side of each chunk boundary; a
+    # chunk holds _CHUNK kept records, however many lines they take
+    monkeypatch.setattr(ingest, "_CHUNK", chunk)
+    good = [f"C|c{i}|{['a@x', '', 'B@x'][i % 3]}|Ann|{7 - i}|{2 if i == 4 else 1}\n"
+            + "3\t1\tf.py\n" * (i % 2) for i in range(8)]
+    bad = ["C|z|a@x|A|-1|1\n", "X\n", "C|q|||1|1\n", "C|c1|x@y|X|0|1\n", "C||a@x|A|1|1\n",
+           "C|n|a@x|A|1|1\n1\t2\n", "C|q|||1|1\nX\n", "C|h|a@x|A|1|-1\n\nX\n"]
+    for at in range(len(good) + 1):
+        for entry in bad:
+            text = "\n".join(good[:at] + [entry] + good[at:]) + "\n"
+            for include_merges in (False, True):
+                expected = _outcome(loop_parse_commit_log, text, include_merges)
+                got = _outcome(parse_commit_log, text, include_merges)
                 if isinstance(expected, ParseError):
                     assert (str(got), got.line) == (str(expected), expected.line)
                 else:
@@ -677,10 +702,6 @@ def test_resolve_authors_matches_loop_oracle(rows, alias_map, drop):
         return
     resolved = resolve_authors(h, alias_map, drop)
     assert resolved.commits == expected.commits
-    before = {c.commit_id: c for c in h.commits}
-    for after in resolved.commits:
-        if after.author == before[after.commit_id].author:
-            assert after is before[after.commit_id]
 
 
 def test_resolve_authors_returns_unaliased_records_themselves(rng):

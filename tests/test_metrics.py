@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scalemetrics import metrics
 from scalemetrics.errors import MeasureUnavailableError
 from scalemetrics.metrics import (
-    DEFAULT_SIZE_CAP,
+    DEFAULT_CELL_BUDGET,
     ProductionMeasure,
     commit_production,
     levenshtein_distance,
@@ -106,13 +107,21 @@ def test_lev_symmetry_and_triangle():
         assert (dab == 0) == (a == b)
 
 
-def test_lev_size_cap():
-    # a side one byte over the cap is refused before the DP runs, either way round
-    over = "x" * (DEFAULT_SIZE_CAP + 1)
-    for a, b in [(over, "y"), ("y", over), (over, "")]:
-        with pytest.raises(MeasureUnavailableError, match="size cap"):
+def test_lev_size_cap(monkeypatch):
+    # the budget bounds len(a) * len(b) in bytes: a pair one cell past it is
+    # refused before the DP runs, either way round, two 1 MiB sides too,
+    # and a pair with an empty side costs no cells
+    side = "x" * 2**16
+    assert len(side) ** 2 == DEFAULT_CELL_BUDGET
+    for a, b in [(side, side + "y"), (side + "y", side), ("x" * 2**20, b"y" * 2**20)]:
+        with pytest.raises(MeasureUnavailableError, match="cell budget"):
             levenshtein_distance(a, b)
-    assert levenshtein_distance("", b"x" * DEFAULT_SIZE_CAP) == DEFAULT_SIZE_CAP
+    assert levenshtein_distance("", b"x" * 2**20) == 2**20
+    monkeypatch.setattr(metrics, "DEFAULT_CELL_BUDGET", 12)
+    assert levenshtein_distance("abc", b"abcd") == 1  # 12 cells
+    for a, b in [("abc", "abcde"), ("é", "abcdefg")]:  # 15 cells; 14, "é" being 2 bytes
+        with pytest.raises(MeasureUnavailableError, match="cell budget"):
+            levenshtein_distance(a, b)
 
 
 @pytest.mark.parametrize("side", [5, None, ["a"], memoryview(b"ab")])

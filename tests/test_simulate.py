@@ -149,6 +149,26 @@ def test_branching_rejects_non_positive_participation_mu(mu):
         simulate_branching_stream(model, participants=10, participation_mu=mu)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: simulate_zipf_growth(10, 0.5, window_length=-5.0),
+     r"window_length must be positive, got -5 s"),
+    (lambda: simulate_zipf_growth(10, 0.5, window_length=0.0), "window_length"),
+    (lambda: simulate_heavy_tail_participation(0.7, window_length=-5.0), "window_length"),
+    (lambda: simulate_heavy_tail_participation(0.7, window_length=np.nan), "window_length"),
+    (lambda: BranchingModel(0.5, 1.0, 1.0, float("inf")), "horizon"),
+    (lambda: BranchingModel(0.5, 1.0, 1.0, np.nan), "horizon"),
+    (lambda: BranchingModel(0.5, 1.0, 1.0, 0.0), "horizon"),
+])
+def test_generators_refuse_bad_spans_before_drawing(make, message, monkeypatch):
+    # a commit time that would be negative or past the float range is
+    # refused as the parameter's error, before any random draw
+    def refuse(*args):
+        raise AssertionError("a generator drew before refusing its parameters")
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_branching_event_cap_truncates(monkeypatch):
     monkeypatch.setattr(simulate, "DEFAULT_EVENT_CAP", 5000)
     model = BranchingModel(eta=1.0, immigrant_rate=0.01, offspring_delay_scale=1.0,
