@@ -74,7 +74,7 @@ def default_tau(history):
 
 def _cascade_bounds(history, tau):
     """Positions where the cascades start, plus len(history) at the end."""
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError("tau must be positive")
     if len(history) == 0:
         raise InsufficientDataError("history has no commits")

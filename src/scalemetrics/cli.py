@@ -172,7 +172,7 @@ def cmd_analyze(args):
     )
     binned = scaling.log_bin(obs, args.bins_per_decade or 5)
     lines = ["n_mean,production_mean"] + [f"{csv_number(n)},{csv_number(p)}"
-                                        for n, p in binned]
+                                        for n, p in zip(*binned)]
     (outdir / "binned.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     if args.format == "json":
         sys.stdout.write(_json_dumps(bundle))

@@ -21,13 +21,14 @@ pass over the payload column for ``lev``. Arm A, arm B and the tail
 distribution all read that one per-commit array. :func:`series_observations`
 sums it per window with ``np.bincount`` over the sparse windows of
 :func:`~scalemetrics.windows.team_windows`, adding in commit order, so the
-sums are those of a loop over the commits.
+sums are those of a loop over the commits. An arm's windows stay columns,
+one :class:`Observations` of arrays, from there to the fit and the CSV.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,13 +40,11 @@ DEFAULT_CELL_BUDGET = 2**32  # two 64 KiB sides: about 2 s bit-parallel
 
 __all__ = [
     "ProductionMeasure",
-    "WindowObservation",
+    "Observations",
     "levenshtein_distance",
-    "commit_production",
     "commit_productions",
     "production_column",
     "series_observations",
-    "window_observations",
     "window_observations_with_coverage",
     "observations_to_csv",
     "csv_number",
@@ -67,14 +66,14 @@ class ProductionMeasure(enum.Enum):
         raise ValueError(f"unknown production measure {s!r}")
 
 
-@dataclass(frozen=True)
-class WindowObservation:
-    """One (team size n, production P) sample from a non-empty window."""
+class Observations(NamedTuple):
+    """The non-empty windows of one arm as columns: each window's bounds,
+    its team size n and its production P, one array entry per window."""
 
-    start_ts: float
-    end_ts: float
-    n: int
-    production: float
+    start_ts: np.ndarray
+    end_ts: np.ndarray
+    n: np.ndarray
+    production: np.ndarray
 
 
 def levenshtein_distance(a, b):
@@ -125,27 +124,6 @@ def levenshtein_distance(a, b):
     return score
 
 
-def commit_production(commit, measure):
-    """Production contributed by one commit under the given measure."""
-    if measure is ProductionMeasure.COMMITS:
-        return 1.0
-    if measure is ProductionMeasure.LOC_ADDED:
-        return float(commit.lines_added)
-    if measure is ProductionMeasure.LOC_DELETED:
-        return float(commit.lines_deleted)
-    if measure is ProductionMeasure.LOC_TOTAL:
-        return float(commit.lines_added + commit.lines_deleted)
-    if measure is ProductionMeasure.LEVENSHTEIN:
-        if commit.diff_payload is None:
-            raise MeasureUnavailableError(
-                f"commit {commit.commit_id} has no diff payload"
-            )
-        return float(
-            sum(levenshtein_distance(o, n) for o, n in commit.diff_payload)
-        )
-    raise ValueError(f"unknown measure {measure!r}")
-
-
 def commit_productions(history, measure):
     """(values, unavailable_commit_count): each commit's production under
     ``measure`` in history order, a float64 array that is nan where the
@@ -183,17 +161,13 @@ def production_column(productions):
 
 
 def series_observations(team, productions):
-    """One WindowObservation per window of ``team`` (the non-empty windows
-    from :func:`~scalemetrics.windows.team_windows`), summing the
+    """The :class:`Observations` of the windows of ``team`` (the non-empty
+    windows from :func:`~scalemetrics.windows.team_windows`), summing the
     per-commit ``productions`` that are available."""
     values, available = production_column(productions)
-    production = np.bincount(team.slot[available], weights=values[available],
-                             minlength=len(team.index))
-    return [
-        WindowObservation(*row)
-        for row in zip(team.start_ts.tolist(), team.end_ts.tolist(),
-                       team.n.tolist(), production.tolist())
-    ]
+    return Observations(team.start_ts, team.end_ts, team.n,
+                        np.bincount(team.slot[available], weights=values[available],
+                                    minlength=len(team.index)))
 
 
 def window_observations_with_coverage(history, definition, measure):
@@ -201,13 +175,6 @@ def window_observations_with_coverage(history, definition, measure):
     team = team_windows(history, resolve_window_length(history, definition))
     productions, unavailable = commit_productions(history, measure)
     return series_observations(team, productions), unavailable
-
-
-def window_observations(history, definition, measure):
-    """One WindowObservation per non-empty window; production summed over
-    the window's commits under ``measure``."""
-    obs, _ = window_observations_with_coverage(history, definition, measure)
-    return obs
 
 
 def csv_number(x):
@@ -219,7 +186,7 @@ def csv_number(x):
 
 def observations_to_csv(observations, measure):
     lines = ["start_ts,end_ts,n,measure,production"]
-    for o in observations:
-        lines.append(f"{csv_number(o.start_ts)},{csv_number(o.end_ts)},{o.n},"
-                     f"{measure.value},{csv_number(o.production)}")
+    for start, end, n, p in zip(*(column.tolist() for column in observations)):
+        lines.append(f"{csv_number(start)},{csv_number(end)},{n},"
+                     f"{measure.value},{csv_number(p)}")
     return "\n".join(lines) + "\n"

@@ -8,6 +8,9 @@ P/n against n. The two arms answer different questions; the ``report.json``
 dict of :func:`methodology_compare` says so explicitly. Both run one
 estimator, :func:`_fit`: arm B is the arm-A fit of ln(P/n) on ln n over its
 own windows, so the arms differ only in their windows and in P versus P/n.
+Each arm reads its windows as the (n, P) columns of an
+:class:`~scalemetrics.metrics.Observations`; :func:`log_bin` sums them per
+bin in window order, so its bin means are a loop's to the bit.
 """
 
 from __future__ import annotations
@@ -73,26 +76,18 @@ class ScalingFit:
 
 
 def _usable(observations):
-    return [(o.n, o.production) for o in observations if o.n >= 1 and o.production > 0]
+    """The (n, P) columns of the windows with n >= 1 and P > 0."""
+    keep = (observations.n >= 1) & (observations.production > 0)
+    return observations.n[keep], observations.production[keep]
 
 
 def log_bin(observations, bins_per_decade=5):
-    """Geometric bins over n; within-bin arithmetic means of n and P."""
-    points = _usable(observations)
-    bins = {}
-    for n, p in points:
-        idx = math.floor(math.log10(n) * bins_per_decade + 1e-9)
-        bins.setdefault(idx, []).append((n, p))
-    out = []
-    for idx in sorted(bins):
-        members = bins[idx]
-        out.append(
-            (
-                sum(n for n, _ in members) / len(members),
-                sum(p for _, p in members) / len(members),
-            )
-        )
-    return out
+    """Geometric bins over n: the (mean n, mean P) arrays of the non-empty
+    bins, in order of n."""
+    ns, ps = _usable(observations)
+    keys = [math.floor(math.log10(n) * bins_per_decade + 1e-9) for n in ns.tolist()]
+    _, bins, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    return np.bincount(bins, weights=ns) / counts, np.bincount(bins, weights=ps) / counts
 
 
 def ols(x, y):
@@ -127,18 +122,18 @@ def fit_points(ns, ps):
     return slope, intercept, se if np.isfinite(se) else 0.0, r**2
 
 
-def _fit(points, binned):
-    """The one fit of both arms: OLS of ln y on ln n over the (n, y)
-    ``points``, with the 95% CI from the normal approximation on the slope
-    standard error."""
-    beta, intercept, se, r2 = fit_points([n for n, _ in points], [y for _, y in points])
+def _fit(ns, ys, binned):
+    """The one fit of both arms: OLS of ln y on ln n over the points
+    (ns[i], ys[i]), with the 95% CI from the normal approximation on the
+    slope standard error."""
+    beta, intercept, se, r2 = fit_points(ns, ys)
     return ScalingFit(
         beta=float(beta),
         intercept=float(intercept),
         ci_low=float(beta - Z_95 * se),
         ci_high=float(beta + Z_95 * se),
         r_squared=float(r2),
-        n_points=len(points),
+        n_points=len(ns),
         binned=binned,
     )
 
@@ -146,15 +141,17 @@ def _fit(points, binned):
 def fit_scaling_exponent(observations, use_binning=False, bins_per_decade=5):
     """Arm A: fit P ~ n^beta by OLS on logs, optionally after logarithmic
     binning. Windows with n = 0 or P = 0 are excluded (log undefined)."""
-    return _fit(log_bin(observations, bins_per_decade) if use_binning
-                else _usable(observations), use_binning)
+    return _fit(*(log_bin(observations, bins_per_decade) if use_binning
+                  else _usable(observations)), use_binning)
 
 
 def fit_per_member(observations):
     """Arm B: the unbinned arm-A fit of ln(P/n) on ln n over the windows
     with n >= 1 and P > 0, and the mean P/n over the same points."""
-    points = [(n, p / n) for n, p in _usable(observations)]
-    return _fit(points, False), sum(r for _, r in points) / len(points)
+    ns, ps = _usable(observations)
+    ratios = ps / ns
+    # a sequential sum: np.sum adds pairwise, and the mean would change bits
+    return _fit(ns, ratios, False), sum(ratios.tolist()) / len(ratios)
 
 
 TAIL_METHODS = {"hill": ("hill",), "mle": ("pareto-mle",),

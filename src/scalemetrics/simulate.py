@@ -37,6 +37,8 @@ from .windows import DAY, _distinct
 #: the most events (commits) a generator makes; read when it runs
 DEFAULT_EVENT_CAP = 10**6
 AUTHOR_POOL = 100_000  # authors a heavy-tail participation history draws from
+#: the largest mean numpy's Poisson sampler accepts
+POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10 * np.iinfo(np.int64).max ** 0.5
 
 __all__ = [
     "ZipfTeamModel",
@@ -119,9 +121,9 @@ def _pareto(rng, mu, size):
 
 def sample_pareto(mu, xmin, count, seed):
     """Inverse-CDF Pareto sampling: X = xmin * U^(-1/mu), P(X>x) = (x/xmin)^-mu."""
-    if mu <= 0:
+    if not mu > 0:
         raise ValueError("mu must be positive")
-    if xmin <= 0:
+    if not xmin > 0:
         raise ValueError("xmin must be positive")
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -163,6 +165,10 @@ class BranchingModel:
             raise ValueError("rates and delay scales must be positive and finite")
         if not 0 < self.horizon < np.inf:
             raise ValueError("horizon must be positive and finite")
+        if not self.immigrant_rate * self.horizon <= POISSON_MEAN_MAX:
+            raise ValueError(
+                f"immigrant_rate * horizon, the mean immigrant count, must be at most "
+                f"{POISSON_MEAN_MAX:.6g}, got {self.immigrant_rate * self.horizon:.6g}")
 
 
 @dataclass(frozen=True)
@@ -188,7 +194,7 @@ def simulate_branching_stream(model, participants, participation_mu,
     if not 1 <= participants <= DEFAULT_EVENT_CAP:
         raise ValueError("participants must be in [1, DEFAULT_EVENT_CAP = "
                          f"{DEFAULT_EVENT_CAP}], got {participants}")
-    if participation_mu <= 0:
+    if not participation_mu > 0:
         raise ValueError("participation_mu must be positive")
     rng = np.random.default_rng(model.seed)
     n_imm = rng.poisson(model.immigrant_rate * model.horizon)
@@ -295,7 +301,7 @@ def simulate_heavy_tail_participation(mu, n_windows=60, min_events=5,
     among m draws then grows as m^mu, so total per-window production
     scales as n^(1/mu) in team size n: superlinear for mu < 1.
     """
-    if mu <= 0:
+    if not mu > 0:
         raise ValueError("mu must be positive")
     if n_windows < 0:
         raise ValueError(f"n_windows must be >= 0, got {n_windows}")

@@ -46,7 +46,7 @@ class ContributionDistribution:
     def __post_init__(self):
         if not self.values:
             raise ValueError("distribution must be non-empty")
-        if any(v <= 0 for v in self.values):
+        if any(not v > 0 for v in self.values):
             raise ValueError("all values must be > 0")
 
     @classmethod
@@ -223,13 +223,13 @@ def pareto_mle_fit(distribution, seed=42):
 
 def productivity_exponent(mu):
     """Per-member productivity exponent: 1/mu - 1 for mu < 1, else 0."""
-    if mu <= 0:
+    if not mu > 0:
         raise ValueError("tail exponent must be positive")
     return 1.0 / mu - 1.0 if mu < 1.0 else 0.0
 
 
 def classify_regime(mu):
-    if mu <= 0:
+    if not mu > 0:
         raise ValueError("tail exponent must be positive")
     if mu < 0.5:
         return Regime.SUPERLINEAR_PRODUCTIVITY

@@ -46,7 +46,7 @@ class FixedWindow:
     length: float = 5 * DAY
 
     def __post_init__(self):
-        if self.length <= 0:
+        if not self.length > 0:
             raise ValueError("window length must be positive")
 
 

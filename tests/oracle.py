@@ -1,11 +1,14 @@
 """Slow reference implementations that the fast paths are tested against.
 
 ``two_row_levenshtein`` is the two-row dynamic program the bit-parallel
-kernel replaced. The ``per_pass_*`` functions compute production the way
-the analysis did before each commit's production was shared: one
-``commit_production`` call per commit in every pass. The ``loop_*``
-functions are the per-commit Python loops that the columnar index
-(``ProjectHistory.columns``) and its array passes replaced.
+kernel replaced. ``commit_production`` is the row-at-a-time production
+rule that ``metrics.commit_productions`` replaced, and the ``per_pass_*``
+functions compute production the way the analysis did before each commit's
+production was shared: one ``commit_production`` call per commit in every
+pass. The ``loop_*`` functions are the per-commit Python loops that the
+columnar index (``ProjectHistory.columns``) and its array passes replaced;
+``loop_log_bin`` is the per-window loop that binned arm A's windows before
+they were columns.
 ``per_member_trend`` is arm B's own copy of the fit, which arm B replaced
 by the arm-A fit of ln(P/n) on ln n. ``loop_parse_jsonl``,
 ``loop_parse_commit_log`` and ``loop_write_jsonl`` are the row-by-row
@@ -19,6 +22,8 @@ import math
 from collections import Counter
 from dataclasses import replace
 from operator import attrgetter
+
+import numpy as np
 
 from scalemetrics.errors import (
     DegenerateDataError,
@@ -35,7 +40,7 @@ from scalemetrics.ingest import (
     _parse_numstat_field,
     _parse_payload,
 )
-from scalemetrics.metrics import WindowObservation, commit_production
+from scalemetrics.metrics import Observations, ProductionMeasure, levenshtein_distance
 from scalemetrics.scaling import Z_95, fit_points
 from scalemetrics.windows import ActivityWindow, FixedWindow, QuantileWindow
 
@@ -59,6 +64,65 @@ def two_row_levenshtein(a, b):
             )
         prev = cur
     return prev[-1]
+
+
+def commit_production(commit, measure):
+    """Production contributed by one commit under the given measure."""
+    if measure is ProductionMeasure.COMMITS:
+        return 1.0
+    if measure is ProductionMeasure.LOC_ADDED:
+        return float(commit.lines_added)
+    if measure is ProductionMeasure.LOC_DELETED:
+        return float(commit.lines_deleted)
+    if measure is ProductionMeasure.LOC_TOTAL:
+        return float(commit.lines_added + commit.lines_deleted)
+    if measure is ProductionMeasure.LEVENSHTEIN:
+        if commit.diff_payload is None:
+            raise MeasureUnavailableError(
+                f"commit {commit.commit_id} has no diff payload"
+            )
+        return float(
+            sum(levenshtein_distance(o, n) for o, n in commit.diff_payload)
+        )
+    raise ValueError(f"unknown measure {measure!r}")
+
+
+def observations_of(rows):
+    """The :class:`Observations` columns of (start_ts, end_ts, n, production)
+    rows."""
+    start, end, n, production = zip(*rows) if rows else ((),) * 4
+    return Observations(np.array(start, dtype=float), np.array(end, dtype=float),
+                        np.array(n, dtype=np.intp), np.array(production, dtype=float))
+
+
+def rows_of(observations):
+    """The windows of ``observations`` as (start_ts, end_ts, n, production)
+    tuples of Python numbers, which compare exactly."""
+    return list(zip(*(column.tolist() for column in observations)))
+
+
+def loop_usable(observations):
+    """The (n, P) pairs of the windows with n >= 1 and P > 0."""
+    return [(n, p) for _, _, n, p in rows_of(observations) if n >= 1 and p > 0]
+
+
+def loop_log_bin(observations, bins_per_decade=5):
+    """Geometric bins over n; within-bin arithmetic means of n and P, one
+    (mean n, mean P) pair per bin."""
+    bins = {}
+    for n, p in loop_usable(observations):
+        idx = math.floor(math.log10(n) * bins_per_decade + 1e-9)
+        bins.setdefault(idx, []).append((n, p))
+    out = []
+    for idx in sorted(bins):
+        members = bins[idx]
+        out.append(
+            (
+                sum(n for n, _ in members) / len(members),
+                sum(p for _, p in members) / len(members),
+            )
+        )
+    return out
 
 
 def per_pass_window_observations(history, definition, measure):
@@ -92,8 +156,7 @@ def per_pass_author_totals(history, measure):
 def per_member_trend(observations):
     """(slope, CI, mean) of arm B: OLS of ln(P/n) on ln n over the windows
     with n >= 1 and P > 0, and the mean P/n over them."""
-    points = [(o.n, o.production / o.n) for o in observations
-              if o.n >= 1 and o.production > 0]
+    points = [(n, p / n) for n, p in loop_usable(observations)]
     if len(points) < 5:
         raise InsufficientDataError(
             f"need >= 5 usable observations, got {len(points)}"
@@ -167,11 +230,11 @@ def loop_series_observations(history, length, productions):
         if p is not None:
             idx = min(int((c.timestamp - t0) // length), count - 1)
             production[idx] += p
-    return [
-        WindowObservation(w.start_ts, w.end_ts, w.n, production[i])
+    return observations_of([
+        (w.start_ts, w.end_ts, w.n, production[i])
         for i, w in enumerate(series)
         if w.n > 0
-    ]
+    ])
 
 
 def loop_commits_per_author(history):

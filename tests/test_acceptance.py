@@ -18,7 +18,7 @@ from scalemetrics.cli import main
 from scalemetrics.metrics import (
     ProductionMeasure,
     levenshtein_distance,
-    window_observations,
+    window_observations_with_coverage,
 )
 from scalemetrics.scaling import fit_scaling_exponent, fit_points, methodology_compare
 from scalemetrics.simulate import (
@@ -181,7 +181,8 @@ def test_criterion_8_methodology_divergence():
     assert rep["min_commit_inequality_holds"]  # P >= n in every window
 
     heavy = simulate_heavy_tail_participation(0.7, seed=6)
-    obs = window_observations(heavy, FixedWindow(), ProductionMeasure.COMMITS)
+    obs, _ = window_observations_with_coverage(heavy, FixedWindow(),
+                                               ProductionMeasure.COMMITS)
     fit = fit_scaling_exponent(obs, use_binning=True)
     assert fit.superlinear  # 95% CI strictly above 1
     report(

@@ -92,6 +92,14 @@ def test_default_tau_requires_gaps():
         default_tau(history_at([5]))
 
 
+@pytest.mark.parametrize("tau", [0.0, -1.0, np.nan])
+def test_tau_must_be_positive(tau):
+    h = history_at([0, 1, 5])
+    for fn in (detect_cascades, branching_ratio):
+        with pytest.raises(ValueError, match="tau must be positive"):
+            fn(h, tau)
+
+
 def test_stats_json_schema():
     stats = branching_ratio(history_at([0, 1, 2, 50]), tau=10)
     js = stats.to_json()

@@ -136,12 +136,13 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, monkeypatch):
 
 def test_package_root_exports_every_public_name():
     # the names the package root listed by hand before it re-exported each
-    # module's __all__, less MethodologyReport, which no longer exists
+    # module's __all__, less MethodologyReport and commit_production, which
+    # no longer exist, and with the windows' columns in place of their rows
     listed = {
         "branching_ratio", "detect_cascades", "AuthorId", "CommitRecord",
         "ProjectHistory", "parse_commit_log", "parse_jsonl", "resolve_authors",
-        "write_jsonl", "ProductionMeasure", "WindowObservation",
-        "commit_production", "levenshtein_distance", "window_observations",
+        "write_jsonl", "ProductionMeasure", "Observations",
+        "levenshtein_distance", "window_observations_with_coverage",
         "ScalingFit", "fit_scaling_exponent", "log_bin",
         "methodology_compare", "BranchingModel", "ZipfTeamModel",
         "max_team_size", "sample_pareto", "simulate_branching_stream",
@@ -155,7 +156,7 @@ def test_package_root_exports_every_public_name():
     modules = (cascades, ingest, metrics, scaling, simulate, tails, windows)
     public = {name: m for m in modules for name in m.__all__}
     assert len(public) == sum(len(m.__all__) for m in modules)  # none shared
-    assert len(listed) == 40 and listed <= set(public)
+    assert len(listed) == 39 and listed <= set(public)
     for name, module in public.items():
         assert getattr(scalemetrics, name) is getattr(module, name), name
 
@@ -519,6 +520,11 @@ def test_simulate_rejects_invalid_team(tmp_path, capsys):
     (["heavy-tail", "--window", "1e308s"], "window_length = 1e+308 s is too long"),
     (["zipf", "--N", "10", "--alpha", "0.5", "--window", "1e308s"],
      "window_length = 1e+308 s is too long: 100 windows"),
+    # a Poisson mean past numpy's limit, and a nan, refused by name
+    (["branching", "--immigrant-rate", "1e10", "--horizon", "1e10s"],
+     "immigrant_rate * horizon, the mean immigrant count, must be at most"),
+    (["branching", "--participation-mu", "nan"], "participation_mu must be positive"),
+    (["heavy-tail", "--participation-mu", "nan"], "mu must be positive"),
 ])
 def test_simulate_rejects_out_of_range_parameters(argv, message, tmp_path, capsys):
     assert main(["simulate", *argv, "-o", str(tmp_path / "bad.jsonl")]) == 2

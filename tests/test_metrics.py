@@ -1,20 +1,21 @@
 import random
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scalemetrics import metrics
 from scalemetrics.errors import MeasureUnavailableError
+from scalemetrics.ingest import ProjectHistory
 from scalemetrics.metrics import (
     DEFAULT_CELL_BUDGET,
     ProductionMeasure,
-    commit_production,
+    commit_productions,
     levenshtein_distance,
     observations_to_csv,
     series_observations,
-    window_observations,
     window_observations_with_coverage,
 )
 from scalemetrics.windows import DAY, FixedWindow, QuantileWindow, team_windows
@@ -28,8 +29,10 @@ from conftest import (
     timed_histories,
 )
 from oracle import (
+    commit_production,
     loop_series_observations,
     per_pass_window_observations,
+    rows_of,
     two_row_levenshtein,
 )
 
@@ -41,6 +44,10 @@ _word_edges = st.sampled_from([63, 64, 65, 127, 128, 129]).flatmap(
 _byte_sides = st.one_of(st.binary(max_size=300), _few_bytes, _word_edges)
 # at most 75 code points keeps a UTF-8 side within 300 bytes
 _str_sides = st.one_of(st.text(max_size=75), st.text(alphabet="abé€😀", max_size=75))
+
+
+def window_observations(history, definition, measure):
+    return window_observations_with_coverage(history, definition, measure)[0]
 
 
 def oracle_levenshtein(a, b):
@@ -133,37 +140,45 @@ def test_lev_rejects_non_text_sides(side):
     assert levenshtein_distance(bytearray(b"ab"), "b") == 1
 
 
+def _one_commit(commit, measure):
+    """(the library's production of ``commit`` alone, its unavailable count)"""
+    values, unavailable = commit_productions(ProjectHistory.build("t", [commit]), measure)
+    return values.tolist(), unavailable
+
+
 def test_commit_production_measures():
     c = make_commit("c1", "a@x", 1, added=5, deleted=2)
-    assert commit_production(c, ProductionMeasure.COMMITS) == 1
-    assert commit_production(c, ProductionMeasure.LOC_ADDED) == 5
-    assert commit_production(c, ProductionMeasure.LOC_DELETED) == 2
-    assert commit_production(c, ProductionMeasure.LOC_TOTAL) == 7
+    for measure, expected in [(ProductionMeasure.COMMITS, 1), (ProductionMeasure.LOC_ADDED, 5),
+                              (ProductionMeasure.LOC_DELETED, 2),
+                              (ProductionMeasure.LOC_TOTAL, 7)]:
+        assert commit_production(c, measure) == expected
+        assert _one_commit(c, measure) == ([expected], 0)
 
 
 def test_commit_production_levenshtein():
     c = make_commit("c1", "a@x", 1, payload=(("abc", "abd"), ("", "xy")))
     assert commit_production(c, ProductionMeasure.LEVENSHTEIN) == 3
+    assert _one_commit(c, ProductionMeasure.LEVENSHTEIN) == ([3.0], 0)
 
 
 def test_levenshtein_requires_payload():
     c = make_commit("c1", "a@x", 1)
     with pytest.raises(MeasureUnavailableError):
         commit_production(c, ProductionMeasure.LEVENSHTEIN)
+    values, unavailable = _one_commit(c, ProductionMeasure.LEVENSHTEIN)
+    assert np.isnan(values).all() and unavailable == 1
 
 
 def test_single_commit_observation():
     h = make_history([("a@x", 0)])
     obs = window_observations(h, FixedWindow(5 * DAY), ProductionMeasure.COMMITS)
-    assert len(obs) == 1
-    assert (obs[0].n, obs[0].production) == (1, 1.0)
+    assert rows_of(obs) == [(0.0, 5 * DAY, 1, 1.0)]
 
 
 def test_window_counting():
     h = make_history([("a@x", 0), ("a@x", 100), ("b@x", 200)])
     obs = window_observations(h, FixedWindow(5 * DAY), ProductionMeasure.COMMITS)
-    assert len(obs) == 1
-    assert (obs[0].n, obs[0].production) == (2, 3.0)
+    assert rows_of(obs) == [(0.0, 5 * DAY, 2, 3.0)]
 
 
 def test_commits_production_at_least_n(rng):
@@ -173,7 +188,7 @@ def test_commits_production_at_least_n(rng):
         obs = window_observations(
             h, FixedWindow(rng.uniform(2000, 20000)), ProductionMeasure.COMMITS
         )
-        assert all(o.production >= o.n for o in obs)
+        assert np.all(obs.production >= obs.n)
 
 
 def test_production_additive_over_windows(rng):
@@ -181,7 +196,7 @@ def test_production_additive_over_windows(rng):
         h = random_history(rng, n_commits=50, n_authors=5)
         total = sum(commit_production(c, measure) for c in h.commits)
         obs = window_observations(h, FixedWindow(5000.0), measure)
-        assert sum(o.production for o in obs) == pytest.approx(total)
+        assert sum(obs.production.tolist()) == pytest.approx(total)
 
 
 def test_unavailable_commits_counted_not_fatal():
@@ -189,14 +204,12 @@ def test_unavailable_commits_counted_not_fatal():
         make_commit("c0", "a@x", 0, payload=(("ab", "ac"),)),
         make_commit("c1", "a@x", 10),  # no payload
     ]
-    from scalemetrics.ingest import ProjectHistory
-
     h = ProjectHistory.build("t", commits)
     obs, unavailable = window_observations_with_coverage(
         h, FixedWindow(5 * DAY), ProductionMeasure.LEVENSHTEIN
     )
     assert unavailable == 1
-    assert obs[0].production == 1.0
+    assert obs.production.tolist() == [1.0]
 
 
 def test_observations_match_per_pass_oracle(rng):
@@ -206,8 +219,12 @@ def test_observations_match_per_pass_oracle(rng):
         h = random_payload_history(rng)
         for measure in ProductionMeasure:
             for definition in (FixedWindow(20_000.0), QuantileWindow(0.9)):
-                assert window_observations_with_coverage(h, definition, measure) == \
-                    per_pass_window_observations(h, definition, measure)
+                obs, unavailable = window_observations_with_coverage(h, definition,
+                                                                     measure)
+                expected, expected_unavailable = per_pass_window_observations(
+                    h, definition, measure)
+                assert (rows_of(obs), unavailable) == (rows_of(expected),
+                                                       expected_unavailable)
 
 
 def test_observations_csv_shape():
@@ -224,5 +241,5 @@ def test_observations_csv_shape():
 def test_series_observations_match_loop_oracle(data):
     h, length = data.draw(timed_histories())
     productions = data.draw(productions_for(h))
-    assert (series_observations(team_windows(h, length), productions)
-            == loop_series_observations(h, length, productions))
+    assert (rows_of(series_observations(team_windows(h, length), productions))
+            == rows_of(loop_series_observations(h, length, productions)))

@@ -11,8 +11,9 @@ from scipy.stats import linregress
 from scalemetrics import tails
 from scalemetrics.cli import render_text
 from scalemetrics.errors import DegenerateDataError, InsufficientDataError, ScaleMetricsError
-from scalemetrics.metrics import ProductionMeasure, WindowObservation
+from scalemetrics.metrics import ProductionMeasure
 from scalemetrics.scaling import (
+    _fit,
     fit_per_member,
     fit_scaling_exponent,
     log_bin,
@@ -23,26 +24,58 @@ from scalemetrics.simulate import simulate_zipf_growth
 from scalemetrics.windows import FixedWindow, QuantileWindow
 
 from conftest import make_history, random_history, random_payload_history
-from oracle import per_member_trend, per_pass_author_totals, per_pass_window_observations
+from oracle import (
+    loop_log_bin,
+    loop_usable,
+    observations_of,
+    per_member_trend,
+    per_pass_author_totals,
+    per_pass_window_observations,
+    rows_of,
+)
 
 
 def obs_from(ns, ps):
-    return [
-        WindowObservation(start_ts=i * 10.0, end_ts=(i + 1) * 10.0, n=int(n),
-                          production=float(p))
-        for i, (n, p) in enumerate(zip(ns, ps))
-    ]
+    return observations_of([(i * 10.0, (i + 1) * 10.0, int(n), float(p))
+                            for i, (n, p) in enumerate(zip(ns, ps))])
 
 
 def test_log_bin_identical_n():
     obs = obs_from([7] * 6, [1, 2, 3, 4, 5, 6])
     binned = log_bin(obs, bins_per_decade=5)
-    assert binned == [(7.0, 3.5)]
+    assert [column.tolist() for column in binned] == [[7.0], [3.5]]
 
 
 def test_log_bin_one_point_per_decade():
     obs = obs_from([1, 10, 100], [5, 50, 500])
-    assert len(log_bin(obs, bins_per_decade=1)) == 3
+    assert len(log_bin(obs, bins_per_decade=1)[0]) == 3
+
+
+# team sizes spread over six decades, several windows sharing each; P is
+# zero in some windows, which the binning drops
+_windows = st.lists(st.tuples(st.one_of(st.integers(1, 10**6), st.integers(1, 30)),
+                              st.one_of(st.just(0.0), st.floats(0, 1e9))),
+                    max_size=80)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_windows, st.sampled_from([1, 5, 7, 2**53]))
+@example([(1, 1.0), (10, 0.0), (10, 2.5), (999_999, 1e-300)], 2**53)
+@example([(1, 2.0), (2, 2.0), (3, 2.0), (5, 2.0), (8, 2.0)], 7)  # r is nan
+def test_log_bin_matches_loop_oracle(windows, bins_per_decade):
+    # the columns are binned to the bit as the per-window loop binned them,
+    # and both fits run _fit over the oracle's points
+    obs = observations_of([(i * 10.0, (i + 1) * 10.0, n, p)
+                           for i, (n, p) in enumerate(windows)])
+    expected = loop_log_bin(obs, bins_per_decade)
+    binned = log_bin(obs, bins_per_decade)
+    assert list(zip(*(column.tolist() for column in binned))) == expected
+    for use_binning, points in ((True, expected), (False, loop_usable(obs))):
+        ns, ys = zip(*points) if points else ((), ())
+        got = _outcome(fit_scaling_exponent, obs, use_binning=use_binning,
+                       bins_per_decade=bins_per_decade)
+        # repr: equal to the bit, nan included
+        assert repr(got) == repr(_outcome(_fit, list(ns), list(ys), use_binning))
 
 
 def test_binned_fit_equals_unbinned_on_noiseless_power_law():
@@ -90,7 +123,7 @@ def test_insufficient_and_degenerate_inputs():
 def test_zero_production_windows_excluded():
     ns = list(range(1, 8))
     ps = [float(n) for n in ns]
-    obs = obs_from(ns, ps) + obs_from([3, 4], [0.0, 0.0])
+    obs = obs_from(ns + [3, 4], ps + [0.0, 0.0])
     fit = fit_scaling_exponent(obs)
     assert fit.n_points == 7
 
@@ -194,7 +227,7 @@ def test_methodology_compare_matches_per_pass_oracle(rng):
                 h, measure, fixed_window=window, quantile=0.5, use_binning=False,
                 seed=3)
             obs_a, unavailable = per_pass_window_observations(h, window, measure)
-            assert observations == obs_a
+            assert rows_of(observations) == rows_of(obs_a)
             assert report["unavailable_commits"] == unavailable
             fit = _outcome(fit_scaling_exponent, obs_a)
             arm_a = report["arm_a"]
@@ -215,7 +248,7 @@ def test_methodology_compare_matches_per_pass_oracle(rng):
                            for m, v in expected.items()}
             commit_obs, _ = per_pass_window_observations(h, window, ProductionMeasure.COMMITS)
             assert report["min_commit_inequality_holds"] == \
-                all(o.production >= o.n for o in commit_obs)
+                all(p >= n for _, _, n, p in rows_of(commit_obs))
 
 
 @pytest.mark.parametrize("estimator,kept,skipped", [

@@ -141,7 +141,7 @@ def test_branching_history_valid_and_roundtrips():
     assert len(h2) == len(h)
 
 
-@pytest.mark.parametrize("mu", [0.0, -1.0])
+@pytest.mark.parametrize("mu", [0.0, -1.0, np.nan])
 def test_branching_rejects_non_positive_participation_mu(mu):
     model = BranchingModel(eta=0.3, immigrant_rate=0.01, offspring_delay_scale=1.0,
                            horizon=1000.0, seed=1)
@@ -158,6 +158,13 @@ def test_branching_rejects_non_positive_participation_mu(mu):
     (lambda: BranchingModel(0.5, 1.0, 1.0, float("inf")), "horizon"),
     (lambda: BranchingModel(0.5, 1.0, 1.0, np.nan), "horizon"),
     (lambda: BranchingModel(0.5, 1.0, 1.0, 0.0), "horizon"),
+    # a Poisson mean past numpy's limit, by name rather than numpy's message
+    (lambda: BranchingModel(0.5, 1e10, 1.0, 1e10), r"immigrant_rate \* horizon"),
+    (lambda: BranchingModel(0.5, 1e200, 1.0, 1e200), r"immigrant_rate \* horizon"),
+    # a nan passes no positivity check
+    (lambda: simulate_heavy_tail_participation(np.nan), "mu must be positive"),
+    (lambda: sample_pareto(np.nan, 1.0, 3, 1), "mu must be positive"),
+    (lambda: sample_pareto(0.7, np.nan, 3, 1), "xmin must be positive"),
 ])
 def test_generators_refuse_bad_spans_before_drawing(make, message, monkeypatch):
     # a commit time that would be negative or past the float range is
@@ -167,6 +174,16 @@ def test_generators_refuse_bad_spans_before_drawing(make, message, monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", refuse)
     with pytest.raises(ValueError, match=message):
         make()
+
+
+def test_branching_accepts_a_poisson_mean_below_numpys_limit():
+    assert simulate.POISSON_MEAN_MAX == pytest.approx(9.223372e18, rel=1e-6)
+    BranchingModel(0.5, 9.2e9, 1.0, 1e9)
+    # the bound is numpy's own: the mean itself draws, the next float does not
+    rng = np.random.default_rng(0)
+    rng.poisson(simulate.POISSON_MEAN_MAX)
+    with pytest.raises(ValueError, match="lam value too large"):
+        rng.poisson(np.nextafter(simulate.POISSON_MEAN_MAX, np.inf))
 
 
 def test_branching_event_cap_truncates(monkeypatch):

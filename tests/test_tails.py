@@ -26,6 +26,12 @@ def dist(values):
     return ContributionDistribution(tuple(float(v) for v in values))
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+def test_distribution_values_must_be_positive(bad):
+    with pytest.raises(ValueError, match="> 0"):
+        dist([1.0, bad])
+
+
 def test_ccdf_all_equal():
     assert ccdf(dist([1, 1, 1])) == [(1.0, 0.0)]
 
@@ -161,8 +167,9 @@ def test_productivity_exponent_values():
     assert productivity_exponent(0.5) == pytest.approx(1.0)
     assert productivity_exponent(0.8) == pytest.approx(0.25)
     assert productivity_exponent(1.5) == 0.0
-    with pytest.raises(ValueError):
-        productivity_exponent(0.0)
+    for mu in (0.0, np.nan):
+        with pytest.raises(ValueError):
+            productivity_exponent(mu)
 
 
 def test_productivity_exponent_continuous_and_decreasing():
@@ -178,8 +185,9 @@ def test_classify_regime_boundaries():
     assert classify_regime(0.8) is Regime.SUPERLINEAR_PRODUCTION
     assert classify_regime(1.0) is Regime.LINEAR_PRODUCTION
     assert classify_regime(1.2) is Regime.LINEAR_PRODUCTION
-    with pytest.raises(ValueError):
-        classify_regime(-1.0)
+    for mu in (-1.0, np.nan):
+        with pytest.raises(ValueError):
+            classify_regime(mu)
 
 
 def test_distribution_from_history():

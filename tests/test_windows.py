@@ -48,6 +48,12 @@ def test_quantile_nearest_rank_oracle():
     assert inter_commit_quantile(h, 0.9) == 90
 
 
+@pytest.mark.parametrize("length", [0.0, -1.0, np.nan])
+def test_fixed_window_length_must_be_positive(length):
+    with pytest.raises(ValueError, match="must be positive"):
+        FixedWindow(length)
+
+
 def test_quantile_zero_gaps():
     h = make_history([("a@x", 5), ("a@x", 5), ("b@x", 7), ("b@x", 7)])
     assert inter_commit_quantile(h, 0.9) == 0
