@@ -6,6 +6,7 @@ Exit codes: 0 success (possibly with warnings), 1 usage/config errors,
 the seed defaults to 42 and may be set via SCALEMETRICS_SEED or --seed.
 ``analyze --format text`` and ``report`` both print :func:`render_text`.
 ``compare`` analyses its projects serially; ``--jobs`` is accepted and ignored.
+Each input's format, log or JSONL, is read from its text by :func:`_sniff_format`.
 """
 
 from __future__ import annotations
@@ -74,11 +75,9 @@ def _sniff_format(text):
     return "log" if text.startswith("C|", start) else "jsonl"
 
 
-def _load_history(path, input_format, include_merges=False):
+def _load_history(path, include_merges=False):
     text = ingest._decode(Path(path).read_bytes())
-    if input_format == "auto":
-        input_format = _sniff_format(text)
-    parse = ingest.parse_commit_log if input_format == "log" else ingest.parse_jsonl
+    parse = ingest.parse_commit_log if _sniff_format(text) == "log" else ingest.parse_jsonl
     return parse(text, project_name=Path(path).stem, include_merges=include_merges)
 
 
@@ -104,7 +103,7 @@ def cmd_ingest(args):
         except (OSError, ValueError) as exc:  # unreadable, or not JSON
             raise ConfigError(f"alias map {args.alias_map}: {exc}") from None
     history = ingest.resolve_authors(
-        _load_history(args.input, args.input_format, args.include_merges),
+        _load_history(args.input, args.include_merges),
         alias_map=alias_map, drop_authors=args.drop_author)
     out = ingest.write_jsonl(history)
     if args.output:
@@ -161,7 +160,7 @@ def _analyze_history(history, args, window):
 
 def cmd_analyze(args):
     window = _check_analysis_flags(args)
-    history = _load_history(args.input, args.input_format)
+    history = _load_history(args.input)
     bundle, obs = _analyze_history(history, args, window)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -219,9 +218,10 @@ def cmd_simulate(args):
             args.participation_mu, n_windows=args.windows,
             window_length=parse_duration(args.window), seed=args.seed,
         )
+        # per-window production is linear in n for mu >= 1
         meta.update(
             participation_mu=args.participation_mu,
-            expected_beta=1.0 / args.participation_mu,
+            expected_beta=max(1.0, 1.0 / args.participation_mu),
         )
     out = Path(args.output)
     out.write_text(ingest.write_jsonl(history), encoding="utf-8")
@@ -245,7 +245,10 @@ def cmd_compare(args):
     projects = []
     for path in corpus:
         name = path.stem
-        bundle, _ = _analyze_history(_load_history(path, "jsonl"), args, window)
+        try:
+            bundle, _ = _analyze_history(_load_history(path), args, window)
+        except (ScaleMetricsError, ValueError, OSError) as exc:
+            raise ScaleMetricsError(f"{path}: {exc}") from None
         (outdir / f"{name}.report.json").write_text(
             _json_dumps(bundle), encoding="utf-8"
         )
@@ -341,7 +344,6 @@ def build_parser():
     p = sub.add_parser("ingest", help="parse a commit log into canonical JSONL")
     p.add_argument("input")
     p.add_argument("-o", "--output", default=None)
-    p.add_argument("--input-format", default="auto", choices=["auto", "log", "jsonl"])
     p.add_argument("--include-merges", action="store_true")
     p.add_argument("--alias-map", default=None,
                    help="JSON file mapping raw identities to canonical ones")
@@ -352,7 +354,6 @@ def build_parser():
     p = sub.add_parser("analyze", help="run both methodologies on one history")
     p.add_argument("input")
     p.add_argument("-o", "--output-dir", default="scalemetrics-out")
-    p.add_argument("--input-format", default="auto", choices=["auto", "log", "jsonl"])
     _add_analysis_flags(p)
     p.set_defaults(func=cmd_analyze)
 

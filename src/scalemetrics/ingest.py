@@ -16,8 +16,8 @@ Two input formats are supported:
   edit-distance production measure, and it is also the canonical
   serialization emitted by :func:`write_jsonl`. Each line is read once:
   one pattern reads a payload-free line as :func:`write_jsonl` writes it,
-  with the JSON decoder's results and errors, and the decoder reads any
-  other line.
+  with the JSON decoder's results and errors, and :func:`json.loads` reads
+  any other line.
 
 Merge commits (parent_count >= 2) carry no numstat deltas and are excluded
 by default; pass ``include_merges=True`` to keep them.
@@ -397,13 +397,13 @@ _FIELDS = {"id": (str,), "email": (str, type(None)), "name": (str, type(None)),
            "ts": (int, float), "added": (int,), "deleted": (int,), "parents": (int,)}
 
 
-def _jsonl_row(scan, line, line_no):
+def _jsonl_row(line, line_no):
     """The row of one JSONL line that the pattern does not read, decoded by
-    the decoder's ``scan``: (id, email, name, ts, added, deleted, parents,
+    :func:`json.loads`: (id, email, name, ts, added, deleted, parents,
     payload). Bad JSON, a record of the wrong shape, a field of the wrong
     type or a malformed ``files`` is a ParseError on ``line_no``."""
     try:
-        obj = _json_line(scan, line)
+        obj = json.loads(line)
     except ValueError as exc:  # also an integer past Python's digit limit
         raise ParseError(f"bad JSON: {getattr(exc, 'msg', exc)}", line=line_no) from None
     if not isinstance(obj, dict) or "id" not in obj or "ts" not in obj:
@@ -458,31 +458,17 @@ def _checked_columns(line_nos, columns, include_merges, identities):
     return line_nos, ids, ts, identity, added, deleted, parents, payload
 
 
-def _json_line(scan, line):
-    """``json.loads(line)``: the value that the decoder's ``scan`` reads
-    from the line's start when it ends the line, else what json.loads
-    makes of the line (a value after leading whitespace, or the error)."""
-    try:
-        value, end = scan(line, 0)
-        if end == len(line):
-            return value
-    except (StopIteration, ValueError):
-        pass
-    return json.loads(line)
-
-
 def parse_jsonl(text, project_name="project", include_merges=False):
     """Parse the JSONL commit format.
 
     Each line is read once: a line that :data:`_CANONICAL` matches becomes
     a row of its groups, a blank line is skipped, and any other line is
-    decoded and checked on its own. Lines are read :data:`_CHUNK` at a
-    time, and each chunk's rows are checked once, a column at a time; the
-    error of a faulty chunk is that of its first faulty line, worded as the
-    record check words it.
+    decoded by :func:`json.loads` and checked on its own. Lines are read
+    :data:`_CHUNK` at a time, and each chunk's rows are checked once, a
+    column at a time; the error of a faulty chunk is that of its first
+    faulty line, worded as the record check words it.
     """
     chunks, identities = [], {}
-    scan = json.JSONDecoder().scan_once
     match = re.compile(_CANONICAL).fullmatch
     lines = _lines(text)
     for start in range(0, len(lines), _CHUNK):
@@ -497,7 +483,7 @@ def parse_jsonl(text, project_name="project", include_merges=False):
                 row = None
             else:
                 try:
-                    row = _jsonl_row(scan, line, start + 1 + len(rows))
+                    row = _jsonl_row(line, start + 1 + len(rows))
                 except ParseError as exc:  # raised after the rows before it
                     error = exc
                     break

@@ -18,8 +18,9 @@ Each commit's production is computed once per analysis by
 :func:`commit_productions` from the history's columns, without a commit
 record: a column operation for the commit and line-count measures, one
 pass over the payload column for ``lev``. Arm A, arm B and the tail
-distribution all read that one per-commit array. :func:`series_observations`
-sums it per window with ``np.bincount`` over the sparse windows of
+distribution all read that one float64 array, nan where a production is
+unavailable, without copying it. :func:`series_observations` sums it per
+window with ``np.bincount`` over the sparse windows of
 :func:`~scalemetrics.windows.team_windows`, adding in commit order, so the
 sums are those of a loop over the commits. An arm's windows stay columns,
 one :class:`Observations` of arrays, from there to the fit and the CSV.
@@ -43,7 +44,6 @@ __all__ = [
     "Observations",
     "levenshtein_distance",
     "commit_productions",
-    "production_column",
     "series_observations",
     "window_observations_with_coverage",
     "observations_to_csv",
@@ -151,22 +151,14 @@ def commit_productions(history, measure):
     return values, int(np.count_nonzero(np.isnan(values)))
 
 
-def production_column(productions):
-    """(values, available) arrays of per-commit ``productions`` (from
-    :func:`commit_productions`, or a list with None where the measure is
-    unavailable): float64 values, and a mask that is False where the
-    measure was unavailable."""
-    values = np.array(productions, dtype=float)  # None reads as nan
-    return values, ~np.isnan(values)
-
-
 def series_observations(team, productions):
     """The :class:`Observations` of the windows of ``team`` (the non-empty
     windows from :func:`~scalemetrics.windows.team_windows`), summing the
-    per-commit ``productions`` that are available."""
-    values, available = production_column(productions)
+    per-commit ``productions``: the float64 array from
+    :func:`commit_productions`, nan where a production is unavailable."""
+    available = ~np.isnan(productions)
     return Observations(team.start_ts, team.end_ts, team.n,
-                        np.bincount(team.slot[available], weights=values[available],
+                        np.bincount(team.slot[available], weights=productions[available],
                                     minlength=len(team.index)))
 
 

@@ -194,8 +194,8 @@ def simulate_branching_stream(model, participants, participation_mu,
     if not 1 <= participants <= DEFAULT_EVENT_CAP:
         raise ValueError("participants must be in [1, DEFAULT_EVENT_CAP = "
                          f"{DEFAULT_EVENT_CAP}], got {participants}")
-    if not participation_mu > 0:
-        raise ValueError("participation_mu must be positive")
+    if not 0 < participation_mu < np.inf:
+        raise ValueError("participation_mu must be positive and finite")
     rng = np.random.default_rng(model.seed)
     n_imm = rng.poisson(model.immigrant_rate * model.horizon)
     truncated = n_imm > DEFAULT_EVENT_CAP
@@ -301,8 +301,8 @@ def simulate_heavy_tail_participation(mu, n_windows=60, min_events=5,
     among m draws then grows as m^mu, so total per-window production
     scales as n^(1/mu) in team size n: superlinear for mu < 1.
     """
-    if not mu > 0:
-        raise ValueError("mu must be positive")
+    if not 0 < mu < np.inf or 1 / float(mu) == np.inf:  # the rank exponent is 1/mu
+        raise ValueError("mu must be positive and finite, with 1/mu finite")
     if n_windows < 0:
         raise ValueError(f"n_windows must be >= 0, got {n_windows}")
     if n_windows > DEFAULT_EVENT_CAP:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, InsufficientDataError
-from .metrics import commit_productions, production_column
+from .metrics import commit_productions
 from .windows import _distinct
 
 MIN_TAIL_POINTS = 10
@@ -58,15 +58,16 @@ class ContributionDistribution:
 
     @classmethod
     def from_productions(cls, history, productions):
-        """As :meth:`from_history`, from per-commit ``productions`` already
-        computed by :func:`~scalemetrics.metrics.commit_productions`.
+        """As :meth:`from_history`, from per-commit ``productions``: the
+        float64 array from :func:`~scalemetrics.metrics.commit_productions`,
+        nan where a production is unavailable.
 
         The totals are summed in commit order and listed in the order of
         each author's first available commit, which the bootstrap draws
         depend on."""
-        values, available = production_column(productions)
+        available = ~np.isnan(productions)
         author = history.columns.author[available]
-        totals = np.bincount(author, weights=values[available])
+        totals = np.bincount(author, weights=productions[available])
         codes, first = np.unique(author, return_index=True)
         totals = totals[codes[np.argsort(first)]]
         values = tuple(totals[totals > 0].tolist())

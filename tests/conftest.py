@@ -1,6 +1,8 @@
+import math
 import random
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -108,11 +110,12 @@ def timed_histories(draw, max_commits=40):
 
 
 def productions_for(history):
-    """Per-commit productions for ``history``: floats, or None where the
-    measure is unavailable."""
-    value = st.one_of(st.none(), st.sampled_from([0.0, 0.1, 1.0, 3.0]),
+    """Per-commit productions for ``history`` as ``commit_productions``
+    gives them: a float64 array, nan where the measure is unavailable."""
+    value = st.one_of(st.just(math.nan), st.sampled_from([0.0, 0.1, 1.0, 3.0]),
                       st.floats(0, 1e6))
-    return st.lists(value, min_size=len(history), max_size=len(history))
+    return st.lists(value, min_size=len(history), max_size=len(history)).map(
+        lambda values: np.array(values, dtype=float))
 
 
 @pytest.fixture

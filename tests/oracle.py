@@ -221,13 +221,14 @@ def loop_active_team_series(history, definition):
 
 def loop_series_observations(history, length, productions):
     """Per-window production summed commit by commit over the dense series
-    of windows of ``length`` seconds; non-empty windows only."""
+    of windows of ``length`` seconds; non-empty windows only. A production
+    that is None or nan is unavailable and skipped."""
     series = loop_active_team_series(history, FixedWindow(length))
     t0 = history.commits[0].timestamp
     count = len(series)
     production = [0.0] * count
     for c, p in zip(history.commits, productions):
-        if p is not None:
+        if p is not None and not math.isnan(p):
             idx = min(int((c.timestamp - t0) // length), count - 1)
             production[idx] += p
     return observations_of([
@@ -250,11 +251,11 @@ def loop_single_commit_share(history):
 
 
 def loop_author_totals(history, productions):
-    """Positive per-author totals of the available ``productions``, in the
-    order of each author's first available commit."""
+    """Positive per-author totals of the available ``productions`` (None or
+    nan is unavailable), in the order of each author's first available commit."""
     totals = {}
     for c, p in zip(history.commits, productions):
-        if p is not None:
+        if p is not None and not math.isnan(p):
             totals[c.author] = totals.get(c.author, 0.0) + p
     values = tuple(v for v in totals.values() if v > 0)
     if not values:

@@ -3,9 +3,11 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -217,12 +219,14 @@ def test_cli_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys; before = set(sys.modules); import scalemetrics.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "print('numpy.ma' in set(sys.modules) - before); "
             "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
             " - set(sys.stdlib_module_names)))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
-    scipy, packages = out.splitlines()
+    scipy, numpy_ma, packages = out.splitlines()
     assert scipy == "[]"
+    assert numpy_ma == "False"
     # the import loads no third-party package but numpy, so setup time stays
     # that of numpy and the package's own modules
     assert packages == "['numpy', 'scalemetrics']"
@@ -447,6 +451,57 @@ def test_format_sniff_matches_first_line_oracle(text):
     assert cli._sniff_format(text) == first_line_format(text)
 
 
+_IDENTITIES = st.sampled_from([("a@x", "Ann"), ("B@x", ""), ("", "Jos\u00e9 \u00d1"),
+                               ("li@y", "\u674e \U0001f600")])
+
+
+@st.composite
+def _valid_inputs(draw):
+    """(text, parser): the write_jsonl text of a generated history, or a
+    pinned-format log of the same records, after 0-3 blank or
+    whitespace-only lines and with one kind of line end; and the parser of
+    its format."""
+    records = draw(st.lists(st.tuples(_IDENTITIES, st.integers(0, 10**9),
+                                      st.integers(0, 50), st.integers(0, 50),
+                                      st.sampled_from([0, 1, 2])),
+                            min_size=1, max_size=8))
+    if draw(st.booleans()):
+        parse = ingest.parse_jsonl
+        text = ingest.write_jsonl(ingest.ProjectHistory.build("h", [
+            ingest.CommitRecord(f"c{i}", ingest.AuthorId.from_raw(email, name), float(ts),
+                                added, deleted, email, name, parents)
+            for i, ((email, name), ts, added, deleted, parents) in enumerate(records)]))
+    else:
+        parse = ingest.parse_commit_log
+        text = "".join(f"C|c{i}|{email}|{name}|{ts}|{parents}\n"
+                       + (f"{added}\t{deleted}\tf.py\n" if parents < 2 else "") + "\n"
+                       for i, ((email, name), ts, added, deleted, parents)
+                       in enumerate(records))
+    lead = "".join(line + "\n" for line in draw(
+        st.lists(st.sampled_from(["", " ", "\t", " \t "]), max_size=3)))
+    return (lead + text).replace("\n", draw(st.sampled_from(["\n", "\r\n", "\r"]))), parse
+
+
+@settings(max_examples=200, deadline=None)
+@given(_valid_inputs(), st.booleans())
+def test_sniff_reads_each_valid_input_as_its_own_parser_does(text_parse, include_merges):
+    # the sniffed format is the one a valid input was written in, so no
+    # input format needs to be given
+    text, parse = text_parse
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "h.txt"
+        path.write_bytes(text.encode())
+        got = cli._load_history(path, include_merges)
+    expected = parse(text, project_name="h", include_merges=include_merges)
+    assert got.project_name == expected.project_name
+    for a, b in zip(got.columns, expected.columns, strict=True):
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype
+            assert a.tolist() == b.tolist()
+        else:
+            assert a == b
+
+
 def test_cli_paths_make_no_rows(tmp_path, capsys):
     # analyze, ingest and simulate work on the columns alone
     src = tmp_path / "payload.jsonl"
@@ -476,13 +531,16 @@ def test_ingest_empty_file(tmp_path, capsys):
 def test_ingest_malformed_header_exit_2(tmp_path, capsys):
     src = tmp_path / "bad.log"
     src.write_text("garbage line\n")
-    assert main(["ingest", str(src), "--input-format", "log"]) == 2
+    assert main(["ingest", str(src)]) == 2
     assert "line 1" in capsys.readouterr().err
 
 
 def test_usage_error_exit_1():
     assert main(["analyze"]) == 1
     assert main(["no-such-command"]) == 1
+    # the format of an input is read from the input
+    assert main(["analyze", "h.jsonl", "--input-format", "jsonl"]) == 1
+    assert main(["ingest", "h.log", "--input-format", "log"]) == 1
 
 
 def test_simulate_zipf_sidecar(tmp_path):
@@ -493,6 +551,25 @@ def test_simulate_zipf_sidecar(tmp_path):
     assert meta["S"] == pytest.approx(86.3931, abs=1e-3)
     assert meta["alpha"] == 0.5
     assert meta["expected_beta"] == 0.5
+
+
+@pytest.mark.parametrize("argv, expected_beta", [
+    (["zipf", "--team-size", "25"], 0.5),
+    (["branching"], None),
+    (["heavy-tail", "--windows", "20"], 1 / 0.7),
+    # production is linear in n for mu >= 1
+    (["heavy-tail", "--windows", "20", "--participation-mu", "1"], 1.0),
+    (["heavy-tail", "--windows", "20", "--participation-mu", "1.3"], 1.0),
+])
+def test_simulate_sidecar_is_standard_json(argv, expected_beta, tmp_path):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not standard JSON")
+
+    out = tmp_path / "sim.jsonl"
+    assert main(["simulate", *argv, "-o", str(out)]) == 0
+    meta = json.loads(out.with_suffix(".jsonl.meta.json").read_text(),
+                      parse_constant=refuse)
+    assert meta.get("expected_beta") == expected_beta
 
 
 def test_simulate_rejects_invalid_team(tmp_path, capsys):
@@ -525,6 +602,10 @@ def test_simulate_rejects_invalid_team(tmp_path, capsys):
      "immigrant_rate * horizon, the mean immigrant count, must be at most"),
     (["branching", "--participation-mu", "nan"], "participation_mu must be positive"),
     (["heavy-tail", "--participation-mu", "nan"], "mu must be positive"),
+    (["branching", "--participation-mu", "inf"],
+     "participation_mu must be positive and finite"),
+    (["heavy-tail", "--participation-mu", "inf"], "mu must be positive and finite"),
+    (["heavy-tail", "--participation-mu", "1e-320"], "with 1/mu finite"),
 ])
 def test_simulate_rejects_out_of_range_parameters(argv, message, tmp_path, capsys):
     assert main(["simulate", *argv, "-o", str(tmp_path / "bad.jsonl")]) == 2
@@ -617,7 +698,7 @@ def test_load_history_builds_once_per_file(tmp_path, monkeypatch):
     for path in (log, jsonl):
         for alias_map, drop in [(None, ()), ({"old@x": "b@x"}, ["c@x"])]:
             # the load and the alias pass that ingest runs on it
-            history = ingest.resolve_authors(cli._load_history(path, "auto"),
+            history = ingest.resolve_authors(cli._load_history(path),
                                              alias_map=alias_map, drop_authors=drop)
             assert builds == ["h"]
             assert [c.commit_id for c in history.commits] == ["b", "a"]
@@ -783,6 +864,24 @@ def test_compare_jobs_do_not_change_outputs(zipf_corpus, tmp_path, capsys):
 
 def test_compare_empty_dir_exit_2(tmp_path):
     assert main(["compare", str(tmp_path), "-o", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize("data, message", [
+    (b'{"id":"a","ts":1}\n', "line 1: author identity must be non-empty"),
+    (b"\xff\n", "line 1: not UTF-8: byte 0xff (invalid start byte)"),
+    (b"", "history has no commits"),
+])
+def test_compare_names_the_project_that_failed(data, message, zipf_corpus, tmp_path,
+                                               capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.jsonl").write_bytes((zipf_corpus / "proj0.jsonl").read_bytes())
+    (corpus / "b.jsonl").write_bytes(data)
+    assert main(["compare", str(corpus), "-o", str(tmp_path / "cmp")]) == 2
+    assert capsys.readouterr().err == f"error: {corpus / 'b.jsonl'}: {message}\n"
+    # analyze reads one project: its error names no file
+    assert main(["analyze", str(corpus / "b.jsonl"), "-o", str(tmp_path / "one")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_report_renders_saved_json(zipf_corpus, tmp_path, capsys):

@@ -379,7 +379,7 @@ def test_written_jsonl_is_read_by_the_pattern(monkeypatch):
              ("b@x", 'B"o\\'), ("t@x", "T\tab\x7f"), ("a@x", "A")]
     text = "\n".join(_written([(pairs[i % 5], i + 0.5, i, 1, 1) for i in range(30)])) + "\n"
     expected = loop_parse_jsonl(text).commits
-    monkeypatch.setattr(ingest, "_json_line", None)
+    monkeypatch.setattr(ingest, "_jsonl_row", None)
     assert parse_jsonl(text).commits == expected
 
 
@@ -421,9 +421,9 @@ def test_odd_lines_alone_are_decoded(monkeypatch):
         lines.insert(i, "")
     text = "\n".join(lines) + "\n"
     decoded = []
-    json_line = ingest._json_line
-    monkeypatch.setattr(ingest, "_json_line",
-                        lambda scan, line: decoded.append(line) or json_line(scan, line))
+    jsonl_row = ingest._jsonl_row
+    monkeypatch.setattr(ingest, "_jsonl_row",
+                        lambda line, line_no: decoded.append(line) or jsonl_row(line, line_no))
     assert parse_jsonl(text).commits == loop_parse_jsonl(text).commits
     assert len(odd) == 5 and decoded == odd
 
@@ -500,10 +500,9 @@ def test_byte_that_is_not_utf8_names_its_line(newline, tmp_path, capsys):
     jsonl = b'{"id": "a", "email": "a@x", "ts": 1}\n{"id": "b", "name": "\xff"}\n'
     log = b"C|a|a@x|A|1|1\n1\t0\tf\xff.py\n\n"
     src = tmp_path / "bad.txt"
-    for data, fmt in [(jsonl, "jsonl"), (log, "log")]:
+    for data in (jsonl, log):
         src.write_bytes(data.replace(b"\n", newline))
-        for argv in (["ingest", str(src)], ["ingest", str(src), "--input-format", fmt],
-                     ["analyze", str(src), "-o", str(tmp_path)]):
+        for argv in (["ingest", str(src)], ["analyze", str(src), "-o", str(tmp_path)]):
             assert main(argv) == 2
             assert "error: line 2: not UTF-8: byte 0xff" in capsys.readouterr().err
 

@@ -141,7 +141,7 @@ def test_branching_history_valid_and_roundtrips():
     assert len(h2) == len(h)
 
 
-@pytest.mark.parametrize("mu", [0.0, -1.0, np.nan])
+@pytest.mark.parametrize("mu", [0.0, -1.0, np.nan, np.inf])
 def test_branching_rejects_non_positive_participation_mu(mu):
     model = BranchingModel(eta=0.3, immigrant_rate=0.01, offspring_delay_scale=1.0,
                            horizon=1000.0, seed=1)
@@ -163,6 +163,10 @@ def test_branching_rejects_non_positive_participation_mu(mu):
     (lambda: BranchingModel(0.5, 1e200, 1.0, 1e200), r"immigrant_rate \* horizon"),
     # a nan passes no positivity check
     (lambda: simulate_heavy_tail_participation(np.nan), "mu must be positive"),
+    (lambda: simulate_heavy_tail_participation(np.inf), "mu must be positive and finite"),
+    (lambda: simulate_branching_stream(BranchingModel(0.5, 0.01, 1.0, 1000.0),
+                                       participants=10, participation_mu=np.inf),
+     "participation_mu must be positive and finite"),
     (lambda: sample_pareto(np.nan, 1.0, 3, 1), "mu must be positive"),
     (lambda: sample_pareto(0.7, np.nan, 3, 1), "xmin must be positive"),
 ])
