@@ -10,6 +10,10 @@ Two input formats are supported:
       ...
       <blank>
 
+  It is read in slices of about 1 MiB, in which numpy finds the lines,
+  headers and numstat rows and sums each commit's counts; a log in any
+  other shape (see :func:`_log_slice`) is read one line at a time.
+
 * JSON Lines, one object per commit:
   ``{id, email, name, ts, added, deleted, files:[{old,new}]?}``.
   This is the only format that can carry diff payloads for the
@@ -44,6 +48,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -68,6 +73,9 @@ MAX_LINES = 2**53
 #: the JSONL lines read and checked at a time; it bounds the decoded
 #: objects held at once
 _CHUNK = 4096
+
+#: the pinned-log characters read at a time; it bounds the arrays held at once
+_SLICE = 1 << 20
 
 #: a JSON string, its escapes as strict as json's: its own text if it has no "\\"
 _STR = r'"([^"\\\x00-\x1f]*(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*)*)"'
@@ -323,10 +331,85 @@ def _parse_numstat_field(raw, line_no):
 
 
 def parse_commit_log(text, project_name="project", include_merges=False):
-    """Parse the pinned pipe-delimited commit-log format, merges skipped as
-    they are read and each :data:`_CHUNK` records checked once. A malformed
-    header or numstat row, or an empty commit id, ends the read; it is raised
-    after the records before it are checked: the first faulty line's error."""
+    """Parse the pinned pipe-delimited commit-log format, about
+    :data:`_SLICE` characters at a time, each slice cut just before a header
+    that follows a blank line, encoded on its own and read by
+    :func:`_log_slice`, its records checked once. A log that is empty, has a
+    carriage return or a slice in another shape is read by the line loop,
+    :func:`_parse_log_lines`, which words each malformed line's error."""
+    if not text or "\r" in text:
+        return _parse_log_lines(text, project_name, include_merges)
+    chunks, identities, start, line0 = [], {}, 0, 0
+    while start < len(text):
+        cut = text.find("\n\nC|", start + _SLICE)
+        stop = len(text) if cut < 0 else cut + 2
+        piece = text[start:stop] + ("" if text[stop - 1] == "\n" else "\n")
+        records = _log_slice(piece.encode(), line0)
+        if records is None:
+            return _parse_log_lines(text, project_name, include_merges)
+        chunks.append(_checked_columns(*records, include_merges, identities))
+        start, line0 = stop, line0 + piece.count("\n")
+    return _parsed(project_name, identities, chunks)
+
+
+def _log_slice(data, line0):
+    """The (line_nos, columns) of :func:`_checked_columns` of one slice of a
+    pinned log, ``data`` its UTF-8 bytes ending in a newline and its first
+    line numbered ``line0 + 1``. None unless each line is empty, a header
+    ``C|id|email|name|ts|parents`` (five ``|``, a non-empty id, ts and parents
+    read by float() and int()) first or after an empty line, or a numstat row
+    whose first two of three or more tab-separated fields are ``-`` or 1-9
+    ASCII digits, so that no int64 sum of them overflows."""
+    b = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(b == ord("\n"))
+    starts = np.concatenate([[0], ends[:-1] + 1])
+    blank = starts == ends
+    head = ~blank & np.concatenate([[True], blank[:-1]])
+    hs, he = starts[head], ends[head]
+    pipe = ord("|")
+    pipes = np.flatnonzero(b == pipe)
+    if not (np.all(b[hs] == ord("C")) and np.all(b[hs + 1] == pipe) and np.all(b[hs + 2] != pipe)
+            and np.all(np.searchsorted(pipes, he) - np.searchsorted(pipes, hs) == 5)):
+        return None
+    row = ~blank & ~head
+    rs, tabs = starts[row], np.append(np.flatnonzero(b == ord("\t")), [len(b)] * 2)
+    first = np.searchsorted(tabs, rs)  # each row's first tab, if it has one
+    t1, t2 = tabs[first], tabs[first + 1]
+    (added, ok), (deleted, ok2) = _numstat_counts(b, rs, t1), _numstat_counts(b, t1 + 1, t2)
+    if not (np.all(ok & ok2) and np.all(t2 < ends[row])):
+        return None
+    fields = b[np.repeat(head, ends - starts + 1)].tobytes().replace(b"\n", b"|")
+    fields = fields.decode().split("|")  # six per header, then an empty one
+    try:
+        ts, parents = list(map(float, fields[4::6])), list(map(int, fields[5::6]))
+    except ValueError:
+        return None
+    bounds = np.searchsorted(np.cumsum(head)[row], np.arange(1, len(hs) + 2))
+    added, deleted = (np.diff(np.append(0, np.cumsum(c))[bounds]).tolist()
+                      for c in (added, deleted))
+    return (np.flatnonzero(head) + line0 + 1).tolist(), (
+        fields[1::6], fields[2::6], fields[3::6], ts, added, deleted, parents, [None] * len(ts))
+
+
+def _numstat_counts(b, start, stop):
+    """The counts of the numstat fields ``b[start:stop]``, ``-`` read as 0,
+    and whether each field is ``-`` or 1-9 ASCII digits."""
+    size, value = stop - start, np.zeros(len(start), dtype=np.int64)
+    ok = (size >= 1) & (size <= 9)
+    for d in range(min(9, size.max(initial=0))):
+        digit = b[np.minimum(start + d, len(b) - 1)].astype(np.int64) - ord("0")
+        inside = d < size
+        ok &= ~inside | ((digit >= 0) & (digit <= 9))
+        value = np.where(inside, value * 10 + digit, value)
+    dash = (size == 1) & (b[np.minimum(start, len(b) - 1)] == ord("-"))
+    return np.where(dash, 0, value), ok | dash
+
+
+def _parse_log_lines(text, project_name, include_merges):
+    """:func:`parse_commit_log` one line at a time, merges skipped as they
+    are read and each :data:`_CHUNK` records checked once. A malformed header
+    or numstat row, or an empty commit id, ends the read; it is raised after
+    the records before it are checked: the first faulty line's error."""
     lines, i, chunks, identities, error = _lines(text), 0, [], {}, None
     while i < len(lines) and error is None:
         line_nos, ids, emails, names, ts, added, deleted, parents = ([] for _ in range(8))
@@ -429,9 +512,9 @@ def _checked_columns(line_nos, columns, include_merges, identities):
     parents = columns[7]
     if parents.count(1) < len(parents):  # else every count is 1 already
         columns[7] = parents = list(map(int, parents))
-    if not include_merges and max(parents, default=1) >= 2:
+    if not include_merges and max(parents, default=1) >= 2:  # dropped unchecked
         keep = [p < 2 for p in parents]
-        columns = [[v for v, k in zip(column, keep) if k] for column in columns]
+        columns = [list(compress(column, keep)) for column in columns]
     line_nos, ids, emails, names, ts, added, deleted, parents, payload = columns
     known = len(identities)  # numbered before the check, as a refusal ends the parse
     identity = np.array([identities.setdefault(pair, len(identities))
@@ -508,8 +591,6 @@ def write_jsonl(history):
     yields the same authors without the alias map.
     """
     cols = history.columns
-    if not len(cols.ts):
-        return ""
     quote = json.encoder.encode_basestring_ascii  # as json.dumps quotes a str
     pairs, inverse = cols.identity_authors()
     middles = []  # the email, name and "ts" key of each (identity, author) pair
@@ -524,10 +605,10 @@ def write_jsonl(history):
         if payload is not None:
             files = [{"old": old, "new": new} for old, new in payload]
             ends[i] += f', "files": {json.dumps(files)}'
-    lines = map('{{"id": {}{}{!r}, "added": {}, "deleted": {}{}}}'.format,
-                map(quote, cols.ids.tolist()), [middles[k] for k in inverse.tolist()],
-                cols.ts.tolist(), cols.added.tolist(), cols.deleted.tolist(), ends)
-    return "\n".join(lines) + "\n"
+    return "".join([f'{{"id": {i}{m}{t!r}, "added": {a}, "deleted": {d}{e}}}\n'
+                    for i, m, t, a, d, e in zip(
+                        map(quote, cols.ids.tolist()), [middles[k] for k in inverse.tolist()],
+                        cols.ts.tolist(), cols.added.tolist(), cols.deleted.tolist(), ends)])
 
 
 def _normalize_alias_map(alias_map):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import ProjectHistory, _parsed
+from .ingest import ProjectHistory, _parsed, _renumber
 from .scaling import ols
 from .windows import DAY, _distinct
 
@@ -185,11 +185,12 @@ def simulate_branching_stream(model, participants, participation_mu,
 
     Immigrants arrive as a Poisson process on [0, horizon]; each event
     spawns Poisson(eta) offspring at exponential delays (offspring beyond
-    the horizon are dropped). Events are attributed to ``participants``
-    authors with Pareto(participation_mu)-weighted probabilities. At
-    eta = 1 cluster sizes have infinite mean, so generation stops at
-    :data:`DEFAULT_EVENT_CAP` events with ``truncated`` set; past that many
-    immigrants, a uniform sample of them is drawn.
+    the horizon are dropped), drawn one generation at a time. Events are
+    attributed to ``participants`` authors with Pareto(participation_mu)-
+    weighted probabilities. At eta = 1 cluster sizes have infinite mean, so
+    the first :data:`DEFAULT_EVENT_CAP` events in generation order are kept;
+    ``truncated`` is set when more immigrants were due (a uniform sample of
+    them is drawn) or a child inside the horizon was cut by the cap.
     """
     if not 1 <= participants <= DEFAULT_EVENT_CAP:
         raise ValueError("participants must be in [1, DEFAULT_EVENT_CAP = "
@@ -198,25 +199,23 @@ def simulate_branching_stream(model, participants, participation_mu,
         raise ValueError("participation_mu must be positive and finite")
     rng = np.random.default_rng(model.seed)
     n_imm = rng.poisson(model.immigrant_rate * model.horizon)
+    gen = np.sort(rng.random(min(n_imm, DEFAULT_EVENT_CAP)) * model.horizon)
+    events, room = [gen], DEFAULT_EVENT_CAP - len(gen)
     truncated = n_imm > DEFAULT_EVENT_CAP
-    times = list(np.sort(rng.random(min(n_imm, DEFAULT_EVENT_CAP)) * model.horizon))
-    i = 0
-    while i < len(times):
-        if len(times) >= DEFAULT_EVENT_CAP:
-            truncated = True
-            break
-        k = rng.poisson(model.eta)
-        if k:
-            children = times[i] + rng.exponential(model.offspring_delay_scale, size=k)
-            times.extend(t for t in children if t <= model.horizon)
-        i += 1
-    times = sorted(times[:DEFAULT_EVENT_CAP])
+    while len(gen) and not truncated:  # the next generation, in queue order
+        k = rng.poisson(model.eta, size=len(gen))
+        gen = np.repeat(gen, k) + rng.exponential(model.offspring_delay_scale, k.sum())
+        gen = gen[gen <= model.horizon]
+        truncated = len(gen) > room  # a child inside the horizon is past the cap
+        events.append(gen[:room])
+        room -= len(events[-1])
+    times = np.sort(np.concatenate(events))
 
     weights = _pareto(rng, participation_mu, participants)
     probs = weights / weights.sum()
     authors = rng.choice(participants, size=len(times), p=probs)
     return BranchingStreamResult(
-        history=_sim_history(project_name, "sim", times, authors.tolist()),
+        history=_sim_history(project_name, "sim", times, authors),
         immigrants=int(n_imm),
         events=len(times),
         truncated=truncated,
@@ -227,13 +226,11 @@ def _sim_history(project_name, prefix, times, authors):
     """History of one-line commits ``{prefix}-{i:07d}`` at ``times[i]`` by
     author ``dev{authors[i]}@sim``; commit i is line i + 1 of its JSONL."""
     ts = np.asarray(times, dtype=float)
-    ids = [f"{prefix}-{i:07d}" for i in range(len(ts))]
-    codes = {}
-    identity = [codes.setdefault(a, len(codes)) for a in authors]
-    identities = [(f"dev{a}@sim", f"dev {a}") for a in codes]
+    authors = np.asarray(authors, dtype=np.intp)
+    identity, used = _renumber(authors, range(np.max(authors, initial=-1) + 1))
     n = len(ts)
-    return _parsed(project_name, identities, [(
-        range(1, n + 1), ids, ts, np.array(identity, dtype=np.intp),
+    return _parsed(project_name, [(f"dev{a}@sim", f"dev {a}") for a in used], [(
+        range(1, n + 1), list(map(f"{prefix}-%07d".__mod__, range(n))), ts, identity,
         np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64), [1] * n, None)])
 
 

@@ -14,7 +14,9 @@ by the arm-A fit of ln(P/n) on ln n. ``loop_parse_jsonl``,
 ``loop_parse_commit_log`` and ``loop_write_jsonl`` are the row-by-row
 parsers and writer that the columns-first history replaced: every record
 becomes a ``CommitRecord`` through ``_record``, and the writer serialises
-each row with ``json.dumps``.
+each row with ``json.dumps``. ``loop_branching_times`` is the event loop
+that drew the branching stream one event at a time before it was drawn one
+generation at a time.
 """
 
 import json
@@ -25,6 +27,7 @@ from operator import attrgetter
 
 import numpy as np
 
+from scalemetrics import simulate
 from scalemetrics.errors import (
     DegenerateDataError,
     InsufficientDataError,
@@ -295,6 +298,24 @@ def raw_key(commit):
     a copy of the rule in ``AuthorId``, so the oracle does not share it."""
     return ((commit.raw_email or "").strip().lower()
             or (commit.raw_name or "").strip().lower())
+
+
+def loop_branching_times(model):
+    """The sorted event times of ``model``'s stream, drawn in queue order:
+    the immigrants by time, then each queued event's Poisson(eta) children,
+    each child drawn when its parent leaves the queue; only the first
+    ``simulate.DEFAULT_EVENT_CAP`` events are kept."""
+    rng = np.random.default_rng(model.seed)
+    n_imm = rng.poisson(model.immigrant_rate * model.horizon)
+    times = list(np.sort(rng.random(min(n_imm, simulate.DEFAULT_EVENT_CAP))
+                         * model.horizon))
+    i = 0
+    while i < len(times) <= simulate.DEFAULT_EVENT_CAP:
+        k = rng.poisson(model.eta)
+        children = times[i] + rng.exponential(model.offspring_delay_scale, size=k)
+        times.extend(t for t in children if t <= model.horizon)
+        i += 1
+    return sorted(times[:simulate.DEFAULT_EVENT_CAP])
 
 
 def loop_resolve_authors(history, alias_map=None, drop_authors=()):

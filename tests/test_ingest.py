@@ -149,11 +149,14 @@ _BAD_JSONL_LINES = st.one_of(
 _LOG_TEXT = st.text("C|-\t 01ax@.e", max_size=4)
 # (good values, edge values) of each header and numstat field
 _HEADER_FIELDS = [(("C",), ("c", "")), (("a", "b", "c"), ("",)),
-                  (("a@x", " A@X", "b@x"), ("",)), (("Ann", ""), ("",)),
-                  (("0", "1", "2.5", "1400000000"), ("-1", "nan", "1e400", "0x1")),
-                  (("0", "1", "2"), ("-1", "1.0"))]
-_ROW_FIELDS = [(("0", "3", "-"), ("-1", "")), (("0", "3", "-"), ("-1", "--")),
-               (("f.py",), ("",))]
+                  (("a@x", " A@X", "b@x"), ("",)), (("Ann", "", "Zo\u00eb"), ("", "A|B")),
+                  (("0", "1", "2.5", "1400000000"), ("-1", "nan", "1e400", "0x1", " 1")),
+                  (("0", "1", "2"), ("-1", "1.0", "+1", "1_0"))]
+# besides "-" and 1-9 ASCII digits, the counts that int() reads or refuses
+_ROW_FIELDS = [(("0", "3", "-", "012"), ("-1", "", "+1", "1_0", " 1", "1 ", "\u0661",
+                                        "1234567890", "9" * 19, "1\r")),
+               (("0", "3", "-", "999999999"), ("-1", "--", "+0", "\uff11", "0" * 10)),
+               (("f.py", "a\tb|c"), ("", "\r"))]
 
 
 def _fields(spec, sep, edge):
@@ -216,6 +219,7 @@ _ALIASES = {"a@x": "c@x", "ann": "a@x"}
 # faulty record (line 1) wins over a later malformed header (line 3)
 @example([], ["C|a|||0|0", "C|a|a@x|Ann|0|0"], False)
 @example([], ["C|a|||0|0\n", "X|b"], False)
+@example([], ["C|a|a@x|A|0|1\n1\t2\tf\nC|b|a@x|A|1|1\n", " \n\t"], False)  # no blank line
 def test_parsers_fuzz(jsonl_lines, log_lines, include_merges):
     # each parser gives the rows of its record-by-record oracle, or the same
     # line-numbered ParseError; on a parsed history, resolve_authors and
@@ -269,13 +273,16 @@ def test_parse_jsonl_chunks_match_loop_oracle(chunk, monkeypatch):
 
 @pytest.mark.parametrize("chunk", [1, 2, 3])
 def test_parse_commit_log_chunks_match_loop_oracle(chunk, monkeypatch):
-    # records, merges and faults on either side of each chunk boundary; a
-    # chunk holds _CHUNK kept records, however many lines they take
+    # records, merges and faults on either side of each chunk and slice
+    # boundary; a chunk holds _CHUNK kept records, however many lines they
+    # take, and a slice at least _SLICE characters, up to a header
     monkeypatch.setattr(ingest, "_CHUNK", chunk)
+    monkeypatch.setattr(ingest, "_SLICE", chunk)
     good = [f"C|c{i}|{['a@x', '', 'B@x'][i % 3]}|Ann|{7 - i}|{2 if i == 4 else 1}\n"
             + "3\t1\tf.py\n" * (i % 2) for i in range(8)]
     bad = ["C|z|a@x|A|-1|1\n", "X\n", "C|q|||1|1\n", "C|c1|x@y|X|0|1\n", "C||a@x|A|1|1\n",
-           "C|n|a@x|A|1|1\n1\t2\n", "C|q|||1|1\nX\n", "C|h|a@x|A|1|-1\n\nX\n"]
+           "C|n|a@x|A|1|1\n1\t2\n", "C|q|||1|1\nX\n", "C|h|a@x|A|1|-1\n\nX\n",
+           "C|r|a@x|A|1|1\n1\t2\tf\nC|s|a@x|A|2|1\n"]
     for at in range(len(good) + 1):
         for entry in bad:
             text = "\n".join(good[:at] + [entry] + good[at:]) + "\n"
@@ -286,6 +293,52 @@ def test_parse_commit_log_chunks_match_loop_oracle(chunk, monkeypatch):
                     assert (str(got), got.line) == (str(expected), expected.line)
                 else:
                     assert got.commits == expected.commits
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_GOOD_LOG_ENTRIES.map(lambda entry: (entry, True))
+                          | _BAD_LOG_LINES.map(lambda line: (line + "\n", False)),
+                          st.sampled_from(["\n", "\n", ""])), max_size=8),
+       st.sampled_from([1, 8, 40]), st.booleans())
+def test_parse_commit_log_slices_match_loop_oracle(entries, size, include_merges):
+    # a log read in slices of about `size` characters gives the rows of the
+    # loop oracle, or its line-numbered ParseError; a log of good entries,
+    # each followed by a blank line, is read without the line loop
+    text = "".join(entry + gap for (entry, _), gap in entries)
+    expected = _outcome(loop_parse_commit_log, text, include_merges)
+    loop, looped = ingest._parse_log_lines, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_SLICE", size)
+        patch.setattr(ingest, "_parse_log_lines", lambda *a: looped.append(a) or loop(*a))
+        got = _outcome(parse_commit_log, text, include_merges)
+    if isinstance(expected, ParseError):
+        assert isinstance(got, ParseError), text
+        assert (str(got), got.line) == (str(expected), expected.line)
+    else:
+        assert got.commits == expected.commits
+    if entries and all(good and gap for (_, good), gap in entries):
+        assert not looped, text
+
+
+@pytest.mark.parametrize("text", [
+    "C|a|a@x|A|1|1\n+1\t2\tf\n", "C|a|a@x|A|1|1\n1_0\t2\tf\n",  # a sign, an underscore
+    "C|a|a@x|A|1|1\n 1\t2\tf\n", "C|a|a@x|A|1|1\n1\t\u0661\tf\n",  # a space, U+0661
+    "C|a|a@x|A|1|1\n1234567890\t2\tf\n",  # ten digits
+    "C|a|a@x|A|1|1\n\n \nC|b|a@x|A|2|1\n",  # a line of whitespace
+    "C|a|a@x|A|1|1\r\n1\t2\tf\r\n",  # CR line ends
+    "C|a|a@x|A|1|1|x\n", "C||a@x|A|1|1\n",  # a sixth "|", an empty id
+    "C|a|a@x|A|1|1\n1\t2\tf\nC|b|a@x|A|2|1\n",  # a header right after a row
+    "C|a|a@x|A|1|1\n1\t2\n", "C|a|a@x|A|x|1\n", "",  # one tab, a bad ts, no line
+])
+def test_other_log_shapes_are_read_by_the_line_loop(text, monkeypatch):
+    loop, looped = ingest._parse_log_lines, []
+    monkeypatch.setattr(ingest, "_parse_log_lines", lambda *a: looped.append(a) or loop(*a))
+    expected, got = (_outcome(p, text, False) for p in (loop_parse_commit_log, parse_commit_log))
+    assert looped
+    if isinstance(expected, ParseError):
+        assert (str(got), got.line) == (str(expected), expected.line)
+    else:
+        assert got.commits == expected.commits
 
 
 def _canon(cid="e", email="a@x", name="A", ts="1.5", added="1", end=""):

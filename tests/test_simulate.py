@@ -20,6 +20,8 @@ from scalemetrics.simulate import (
     zipf_total,
 )
 
+from oracle import loop_branching_times
+
 
 def test_zipf_paper_example_values():
     assert zipf_total(10, 0.5, 5) == pytest.approx(32.3167, abs=1e-3)
@@ -199,6 +201,35 @@ def test_branching_event_cap_truncates(monkeypatch):
     assert result.events <= 5000
 
 
+@pytest.mark.parametrize("eta", [0.0, 0.5])
+def test_branching_truncates_only_when_an_event_is_cut(eta, monkeypatch):
+    # a cap that every event fits under cuts nothing; one less cuts one event
+    model = BranchingModel(eta=eta, immigrant_rate=0.01, offspring_delay_scale=5.0,
+                           horizon=95_000.0, seed=3)
+    full = simulate_branching_stream(model, participants=10, participation_mu=0.9)
+    monkeypatch.setattr(simulate, "DEFAULT_EVENT_CAP", full.events)
+    at_cap = simulate_branching_stream(model, participants=10, participation_mu=0.9)
+    assert not full.truncated and not at_cap.truncated
+    assert at_cap.history.commits == full.history.commits
+    if eta == 0:
+        assert full.events == full.immigrants
+    monkeypatch.setattr(simulate, "DEFAULT_EVENT_CAP", full.events - 1)
+    cut = simulate_branching_stream(model, participants=10, participation_mu=0.9)
+    assert cut.truncated and cut.events == full.events - 1
+
+
+@pytest.mark.parametrize("eta", [0.3, 0.9])
+def test_branching_generations_match_the_event_loop(eta):
+    # drawn a generation at a time or an event at a time, the same process:
+    # equal mean event counts over 50 seeds, within 3 standard errors
+    counts = np.array([[len(loop_branching_times(model)),
+                        simulate_branching_stream(model, 10, 0.9).events]
+                       for model in (BranchingModel(eta, 0.01, 5.0, 10_000.0, seed)
+                                     for seed in range(50))])
+    error = np.sqrt(np.sum(np.var(counts, axis=0, ddof=1)) / len(counts))
+    assert abs(np.diff(np.mean(counts, axis=0))[0]) < 3 * error
+
+
 @pytest.mark.parametrize("generate", [
     lambda: simulate_zipf_growth(10.0, 0.5, max_n=30, seed=0),
     lambda: simulate_heavy_tail_participation(0.7, n_windows=20, max_events=200, seed=5),
@@ -238,7 +269,7 @@ def test_generator_output_is_pinned(tmp_path, capsys):
          1110, "deec0128b3fd4e1cb605ab9a8752ce8f73bf8c066b30b71ad8095e395441674b"),
         (simulate_branching_stream(branching, participants=50,
                                    participation_mu=0.8).history,
-         313, "8c88f9727f1f0bf132c776e485044c659dd510eb32f35115629eaf52365e32b8"),
+         317, "9d490fd8473e3df84d395b94f4f0d96c29c8b0eb2c1e6537ccf538bd932d8e8b"),
     ]:
         assert len(history) == commits
         assert hashlib.sha256(write_jsonl(history).encode()).hexdigest() == digest
