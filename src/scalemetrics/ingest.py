@@ -2,16 +2,17 @@
 
 Two input formats are supported:
 
-* the pinned pipe-delimited log format (one header line per commit followed
-  by numstat rows, terminated by a blank line)::
+* the pinned pipe-delimited log format: a header is a line that starts
+  with ``C|``, every other line that is not blank is a numstat row of the
+  header before it, and blank lines mean nothing, so ``git log``'s
+  ``format:`` and ``tformat:`` layouts and empty commits all read alike::
 
       C|<commit_id>|<author_email>|<author_name>|<unix_ts>|<parent_count>
       <added>\t<deleted>\t<path>
       ...
-      <blank>
 
   It is read in slices of about 1 MiB, in which numpy finds the lines,
-  headers and numstat rows and sums each commit's counts; a log in any
+  headers and numstat rows and sums each commit's counts; a slice in any
   other shape (see :func:`_log_slice`) is read one line at a time.
 
 * JSON Lines, one object per commit:
@@ -70,8 +71,8 @@ __all__ = [
 #: it as a float64, which holds every integer up to 2**53 exactly
 MAX_LINES = 2**53
 
-#: the JSONL lines read and checked at a time; it bounds the decoded
-#: objects held at once
+#: the JSONL lines read and checked, or history rows made, at a time; it
+#: bounds the Python objects held at once (a log is read by :data:`_SLICE`)
 _CHUNK = 4096
 
 #: the pinned-log characters read at a time; it bounds the arrays held at once
@@ -333,21 +334,23 @@ def _parse_numstat_field(raw, line_no):
 def parse_commit_log(text, project_name="project", include_merges=False):
     """Parse the pinned pipe-delimited commit-log format, about
     :data:`_SLICE` characters at a time, each slice cut just before a header
-    that follows a blank line, encoded on its own and read by
-    :func:`_log_slice`, its records checked once. A log that is empty, has a
-    carriage return or a slice in another shape is read by the line loop,
-    :func:`_parse_log_lines`, which words each malformed line's error."""
-    if not text or "\r" in text:
-        return _parse_log_lines(text, project_name, include_merges)
+    and read by :func:`_log_slice`, or, if it refuses the slice, by the line
+    loop :func:`_log_lines`, which words each malformed line's error. Each
+    slice's records are checked once, before the next slice is read."""
+    if "\r" in text:  # the line ends of _lines
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    text += "" if text.endswith("\n") else "\n"  # so each slice ends in one; "" is a blank line
     chunks, identities, start, line0 = [], {}, 0, 0
     while start < len(text):
-        cut = text.find("\n\nC|", start + _SLICE)
-        stop = len(text) if cut < 0 else cut + 2
-        piece = text[start:stop] + ("" if text[stop - 1] == "\n" else "\n")
-        records = _log_slice(piece.encode(), line0)
+        cut = text.find("\nC|", start + _SLICE)
+        stop = len(text) if cut < 0 else cut + 1
+        piece = text[start:stop]
+        records, error = _log_slice(piece.encode(), line0), None
         if records is None:
-            return _parse_log_lines(text, project_name, include_merges)
+            records, error = _log_lines(piece, line0)
         chunks.append(_checked_columns(*records, include_merges, identities))
+        if error is not None:  # raised after the records before it are checked
+            raise error
         start, line0 = stop, line0 + piece.count("\n")
     return _parsed(project_name, identities, chunks)
 
@@ -357,26 +360,26 @@ def _log_slice(data, line0):
     pinned log, ``data`` its UTF-8 bytes ending in a newline and its first
     line numbered ``line0 + 1``. None unless each line is empty, a header
     ``C|id|email|name|ts|parents`` (five ``|``, a non-empty id, ts and parents
-    read by float() and int()) first or after an empty line, or a numstat row
+    read by float() and int()), or a numstat row of the header before it
     whose first two of three or more tab-separated fields are ``-`` or 1-9
     ASCII digits, so that no int64 sum of them overflows."""
     b = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(b == ord("\n"))
     starts = np.concatenate([[0], ends[:-1] + 1])
-    blank = starts == ends
-    head = ~blank & np.concatenate([[True], blank[:-1]])
+    pipe = ord("|")  # a header starts with "C|"; starts + 1 is past b only for an empty last line
+    head = (b[starts] == ord("C")) & (b[np.minimum(starts + 1, len(b) - 1)] == pipe)
     hs, he = starts[head], ends[head]
-    pipe = ord("|")
     pipes = np.flatnonzero(b == pipe)
-    if not (np.all(b[hs] == ord("C")) and np.all(b[hs + 1] == pipe) and np.all(b[hs + 2] != pipe)
+    if not (np.all(b[hs + 2] != pipe)
             and np.all(np.searchsorted(pipes, he) - np.searchsorted(pipes, hs) == 5)):
         return None
-    row = ~blank & ~head
+    row = (starts < ends) & ~head
+    owner = np.cumsum(head)[row]  # the number of each row's header, 0 if none
     rs, tabs = starts[row], np.append(np.flatnonzero(b == ord("\t")), [len(b)] * 2)
     first = np.searchsorted(tabs, rs)  # each row's first tab, if it has one
     t1, t2 = tabs[first], tabs[first + 1]
     (added, ok), (deleted, ok2) = _numstat_counts(b, rs, t1), _numstat_counts(b, t1 + 1, t2)
-    if not (np.all(ok & ok2) and np.all(t2 < ends[row])):
+    if not (np.all(ok & ok2) and np.all(t2 < ends[row]) and np.all(owner > 0)):
         return None
     fields = b[np.repeat(head, ends - starts + 1)].tobytes().replace(b"\n", b"|")
     fields = fields.decode().split("|")  # six per header, then an empty one
@@ -384,7 +387,7 @@ def _log_slice(data, line0):
         ts, parents = list(map(float, fields[4::6])), list(map(int, fields[5::6]))
     except ValueError:
         return None
-    bounds = np.searchsorted(np.cumsum(head)[row], np.arange(1, len(hs) + 2))
+    bounds = np.searchsorted(owner, np.arange(1, len(hs) + 2))
     added, deleted = (np.diff(np.append(0, np.cumsum(c))[bounds]).tolist()
                       for c in (added, deleted))
     return (np.flatnonzero(head) + line0 + 1).tolist(), (
@@ -405,58 +408,37 @@ def _numstat_counts(b, start, stop):
     return np.where(dash, 0, value), ok | dash
 
 
-def _parse_log_lines(text, project_name, include_merges):
-    """:func:`parse_commit_log` one line at a time, merges skipped as they
-    are read and each :data:`_CHUNK` records checked once. A malformed header
-    or numstat row, or an empty commit id, ends the read; it is raised after
-    the records before it are checked: the first faulty line's error."""
-    lines, i, chunks, identities, error = _lines(text), 0, [], {}, None
-    while i < len(lines) and error is None:
-        line_nos, ids, emails, names, ts, added, deleted, parents = ([] for _ in range(8))
+def _log_lines(piece, line0):
+    """((line_nos, columns), error): what :func:`_log_slice` gives for a
+    slice it refuses, read one line at a time, and the ParseError of the
+    slice's first malformed header or numstat row, or empty commit id, or
+    None. The read ends at that line; the record it is in is among the
+    columns, so a faulty header's record error comes before its rows'."""
+    rows, error = [], None  # [line_no, id, email, name, ts, added, deleted, parents, payload]
+    for line_no, line in enumerate(piece.split("\n"), line0 + 1):
         try:
-            while i < len(lines) and len(ids) < _CHUNK:
-                line = lines[i]
-                if not line.strip():
-                    i += 1
-                    continue
-                header_no = i + 1
+            if line.startswith("C|"):
                 parts = line.split("|")
-                if len(parts) != 6 or parts[0] != "C":
-                    raise ParseError(f"malformed header {line!r}", line=header_no)
-                _, commit_id, email, name, ts_raw, parents_raw = parts
-                if not commit_id:
-                    raise ParseError("empty commit id", line=header_no)
+                if len(parts) != 6:
+                    raise ParseError(f"malformed header {line!r}", line=line_no)
+                if not parts[1]:
+                    raise ParseError("empty commit id", line=line_no)
                 try:
-                    when = float(ts_raw)
-                    parent_count = int(parents_raw)
+                    rows.append([line_no, *parts[1:4], float(parts[4]), 0, 0, int(parts[5]), None])
                 except ValueError:
-                    raise ParseError(f"malformed header {line!r}", line=header_no) from None
-                lines_added = lines_deleted = 0
-                i += 1
-                while i < len(lines) and lines[i].strip():
-                    cols = lines[i].split("\t")
-                    if len(cols) < 3:
-                        raise ParseError(f"malformed numstat row {lines[i]!r}", line=i + 1)
-                    lines_added += _parse_numstat_field(cols[0], i + 1)
-                    lines_deleted += _parse_numstat_field(cols[1], i + 1)
-                    i += 1
-                if parent_count >= 2 and not include_merges:
-                    continue
-                line_nos.append(header_no)
-                ids.append(commit_id)
-                emails.append(email)
-                names.append(name)
-                ts.append(when)
-                added.append(lines_added)
-                deleted.append(lines_deleted)
-                parents.append(parent_count)
-        except ParseError as exc:  # raised after the records before it are checked
+                    raise ParseError(f"malformed header {line!r}", line=line_no) from None
+            elif line.strip():
+                if not rows:  # a line before the first header
+                    raise ParseError(f"malformed header {line!r}", line=line_no)
+                cols = line.split("\t")
+                if len(cols) < 3:
+                    raise ParseError(f"malformed numstat row {line!r}", line=line_no)
+                rows[-1][5] += _parse_numstat_field(cols[0], line_no)
+                rows[-1][6] += _parse_numstat_field(cols[1], line_no)
+        except ParseError as exc:
             error = exc
-        columns = ids, emails, names, ts, added, deleted, parents, [None] * len(ids)
-        chunks.append(_checked_columns(line_nos, columns, include_merges, identities))
-    if error is not None:
-        raise error
-    return _parsed(project_name, identities, chunks)
+            break
+    return ([r[0] for r in rows], zip(*(r[1:] for r in rows))), error
 
 
 def _parse_payload(files, line_no):

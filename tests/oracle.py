@@ -362,41 +362,46 @@ def _build(project_name, commits, line_nos):
 
 
 def loop_parse_commit_log(text, project_name="project", include_merges=False):
+    """A header is a line that starts with "C|", every other line that is
+    not blank a numstat row of the header before it; a record is made when
+    the next header or the end is reached, or before its malformed row's
+    error is raised, so that its own error, on its header line, comes first."""
     commits, line_nos = [], []
     authors = {}
-    lines = _lines(text)
-    i = 0
-    while i < len(lines):
-        line = lines[i]
-        if not line.strip():
-            i += 1
-            continue
-        header_no = i + 1
-        parts = line.split("|")
-        if len(parts) != 6 or parts[0] != "C":
-            raise ParseError(f"malformed header {line!r}", line=header_no)
-        _, commit_id, email, name, ts_raw, parents_raw = parts
-        if not commit_id:
-            raise ParseError("empty commit id", line=header_no)
-        try:
-            ts = float(ts_raw)
-            parents = int(parents_raw)
-        except ValueError:
-            raise ParseError(f"malformed header {line!r}", line=header_no) from None
-        added = deleted = 0
-        i += 1
-        while i < len(lines) and lines[i].strip():
-            cols = lines[i].split("\t")
-            if len(cols) < 3:
-                raise ParseError(f"malformed numstat row {lines[i]!r}", line=i + 1)
-            added += _parse_numstat_field(cols[0], i + 1)
-            deleted += _parse_numstat_field(cols[1], i + 1)
-            i += 1
-        if parents >= 2 and not include_merges:
-            continue
-        commits.append(_record(authors, header_no, commit_id, email, name, ts,
-                               added, deleted, parents))
-        line_nos.append(header_no)
+    record = None  # [header_no, id, email, name, ts, added, deleted, parents]
+
+    def close():
+        if record is not None and (record[7] < 2 or include_merges):
+            commits.append(_record(authors, *record))
+            line_nos.append(record[0])
+
+    for line_no, line in enumerate(_lines(text), start=1):
+        if line.startswith("C|"):
+            close()
+            parts = line.split("|")
+            if len(parts) != 6:
+                raise ParseError(f"malformed header {line!r}", line=line_no)
+            _, commit_id, email, name, ts_raw, parents_raw = parts
+            if not commit_id:
+                raise ParseError("empty commit id", line=line_no)
+            try:
+                record = [line_no, commit_id, email, name, float(ts_raw), 0, 0,
+                          int(parents_raw)]
+            except ValueError:
+                raise ParseError(f"malformed header {line!r}", line=line_no) from None
+        elif line.strip():
+            try:
+                if record is None:
+                    raise ParseError(f"malformed header {line!r}", line=line_no)
+                cols = line.split("\t")
+                if len(cols) < 3:
+                    raise ParseError(f"malformed numstat row {line!r}", line=line_no)
+                record[5] += _parse_numstat_field(cols[0], line_no)
+                record[6] += _parse_numstat_field(cols[1], line_no)
+            except ParseError:
+                close()
+                raise
+    close()
     return _build(project_name, commits, line_nos)
 
 

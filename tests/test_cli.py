@@ -458,24 +458,29 @@ _IDENTITIES = st.sampled_from([("a@x", "Ann"), ("B@x", ""), ("", "Jos\u00e9 \u00
 @st.composite
 def _valid_inputs(draw):
     """(text, parser): the write_jsonl text of a generated history, or a
-    pinned-format log of the same records, after 0-3 blank or
-    whitespace-only lines and with one kind of line end; and the parser of
-    its format."""
+    pinned-format log of the same records, some of them empty commits, with
+    a blank line after each commit's rows, before them or nowhere; after 0-3
+    blank or whitespace-only lines and with one kind of line end; and the
+    parser of its format."""
     records = draw(st.lists(st.tuples(_IDENTITIES, st.integers(0, 10**9),
                                       st.integers(0, 50), st.integers(0, 50),
-                                      st.sampled_from([0, 1, 2])),
+                                      st.sampled_from([0, 1, 2]),
+                                      st.sampled_from([("", "\n"), ("\n", ""), ("", "")]),
+                                      st.booleans()),
                             min_size=1, max_size=8))
     if draw(st.booleans()):
         parse = ingest.parse_jsonl
         text = ingest.write_jsonl(ingest.ProjectHistory.build("h", [
             ingest.CommitRecord(f"c{i}", ingest.AuthorId.from_raw(email, name), float(ts),
                                 added, deleted, email, name, parents)
-            for i, ((email, name), ts, added, deleted, parents) in enumerate(records)]))
+            for i, ((email, name), ts, added, deleted, parents, _, _)
+            in enumerate(records)]))
     else:
         parse = ingest.parse_commit_log
-        text = "".join(f"C|c{i}|{email}|{name}|{ts}|{parents}\n"
-                       + (f"{added}\t{deleted}\tf.py\n" if parents < 2 else "") + "\n"
-                       for i, ((email, name), ts, added, deleted, parents)
+        text = "".join(f"C|c{i}|{email}|{name}|{ts}|{parents}\n" + before
+                       + (f"{added}\t{deleted}\tf.py\n" if parents < 2 and rows else "")
+                       + after
+                       for i, ((email, name), ts, added, deleted, parents, (before, after), rows)
                        in enumerate(records))
     lead = "".join(line + "\n" for line in draw(
         st.lists(st.sampled_from(["", " ", "\t", " \t "]), max_size=3)))

@@ -95,10 +95,12 @@ def test_merge_exclusion_never_increases_counts(rng):
 
 
 def test_malformed_header_reports_line_number():
-    text = log_entry("ok", "a@x", 1) + "\nnot a header\n"
-    with pytest.raises(ParseError) as exc:
-        parse_commit_log(text)
-    assert "line 4" in str(exc.value)
+    # a line without "C|" is a numstat row of the header before it
+    for bad, error in [("C|not a header", "malformed header"),
+                       ("not a header", "malformed numstat row")]:
+        with pytest.raises(ParseError, match=error) as exc:
+            parse_commit_log(log_entry("ok", "a@x", 1) + f"\n{bad}\n")
+        assert "line 4" in str(exc.value)
 
 
 def test_duplicate_commit_id_rejected(tmp_path, capsys):
@@ -215,8 +217,8 @@ _ALIASES = {"a@x": "c@x", "ann": "a@x"}
          ["C|m|a@x|A|1|2\n", "C|m|b@x|B|2|1\n"], False)
 @example(['{"id": "g", "email": "b@x", "ts": 1, "parents": 2}', _GOOD],
          ["C|m|a@x|A|1|2\n", "C|m|b@x|B|2|1\n"], True)
-# a faulty record's malformed numstat row (line 2) is its error, and a
-# faulty record (line 1) wins over a later malformed header (line 3)
+# a faulty record (line 1) wins over a later duplicate id (line 2) and
+# over a malformed numstat row of its own (line 3)
 @example([], ["C|a|||0|0", "C|a|a@x|Ann|0|0"], False)
 @example([], ["C|a|||0|0\n", "X|b"], False)
 @example([], ["C|a|a@x|A|0|1\n1\t2\tf\nC|b|a@x|A|1|1\n", " \n\t"], False)  # no blank line
@@ -271,13 +273,11 @@ def test_parse_jsonl_chunks_match_loop_oracle(chunk, monkeypatch):
                     assert got.commits == expected.commits
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3])
-def test_parse_commit_log_chunks_match_loop_oracle(chunk, monkeypatch):
-    # records, merges and faults on either side of each chunk and slice
-    # boundary; a chunk holds _CHUNK kept records, however many lines they
-    # take, and a slice at least _SLICE characters, up to a header
-    monkeypatch.setattr(ingest, "_CHUNK", chunk)
-    monkeypatch.setattr(ingest, "_SLICE", chunk)
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_parse_commit_log_chunks_match_loop_oracle(size, monkeypatch):
+    # records, merges and faults on either side of each slice boundary; a
+    # slice is at least _SLICE characters, up to a header
+    monkeypatch.setattr(ingest, "_SLICE", size)
     good = [f"C|c{i}|{['a@x', '', 'B@x'][i % 3]}|Ann|{7 - i}|{2 if i == 4 else 1}\n"
             + "3\t1\tf.py\n" * (i % 2) for i in range(8)]
     bad = ["C|z|a@x|A|-1|1\n", "X\n", "C|q|||1|1\n", "C|c1|x@y|X|0|1\n", "C||a@x|A|1|1\n",
@@ -302,22 +302,27 @@ def test_parse_commit_log_chunks_match_loop_oracle(chunk, monkeypatch):
        st.sampled_from([1, 8, 40]), st.booleans())
 def test_parse_commit_log_slices_match_loop_oracle(entries, size, include_merges):
     # a log read in slices of about `size` characters gives the rows of the
-    # loop oracle, or its line-numbered ParseError; a log of good entries,
-    # each followed by a blank line, is read without the line loop
+    # loop oracle, or its line-numbered ParseError; the line loop reads only
+    # slices the array reader refuses, and none of a log of good entries,
+    # with or without a blank line after each
     text = "".join(entry + gap for (entry, _), gap in entries)
     expected = _outcome(loop_parse_commit_log, text, include_merges)
-    loop, looped = ingest._parse_log_lines, []
+    loop, looped = ingest._log_lines, []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ingest, "_SLICE", size)
-        patch.setattr(ingest, "_parse_log_lines", lambda *a: looped.append(a) or loop(*a))
+        patch.setattr(ingest, "_log_lines", lambda *a: looped.append(a) or loop(*a))
         got = _outcome(parse_commit_log, text, include_merges)
     if isinstance(expected, ParseError):
         assert isinstance(got, ParseError), text
         assert (str(got), got.line) == (str(expected), expected.line)
     else:
         assert got.commits == expected.commits
-    if entries and all(good and gap for (_, good), gap in entries):
+    assert all(ingest._log_slice(piece.encode(), line0) is None for piece, line0 in looped)
+    if all(good for (_, good), _ in entries):
         assert not looped, text
+
+
+_GOOD_ENTRY = "C|g|a@x|A|0|1\n1\t2\tf\n\n"
 
 
 @pytest.mark.parametrize("text", [
@@ -325,20 +330,80 @@ def test_parse_commit_log_slices_match_loop_oracle(entries, size, include_merges
     "C|a|a@x|A|1|1\n 1\t2\tf\n", "C|a|a@x|A|1|1\n1\t\u0661\tf\n",  # a space, U+0661
     "C|a|a@x|A|1|1\n1234567890\t2\tf\n",  # ten digits
     "C|a|a@x|A|1|1\n\n \nC|b|a@x|A|2|1\n",  # a line of whitespace
-    "C|a|a@x|A|1|1\r\n1\t2\tf\r\n",  # CR line ends
     "C|a|a@x|A|1|1|x\n", "C||a@x|A|1|1\n",  # a sixth "|", an empty id
-    "C|a|a@x|A|1|1\n1\t2\tf\nC|b|a@x|A|2|1\n",  # a header right after a row
-    "C|a|a@x|A|1|1\n1\t2\n", "C|a|a@x|A|x|1\n", "",  # one tab, a bad ts, no line
+    "C|a|a@x|A|1|1\n1\t2\n", "C|a|a@x|A|x|1\n",  # one tab, a bad ts
 ])
 def test_other_log_shapes_are_read_by_the_line_loop(text, monkeypatch):
-    loop, looped = ingest._parse_log_lines, []
-    monkeypatch.setattr(ingest, "_parse_log_lines", lambda *a: looped.append(a) or loop(*a))
-    expected, got = (_outcome(p, text, False) for p in (loop_parse_commit_log, parse_commit_log))
-    assert looped
+    # between good entries, the line loop reads the one slice in another
+    # shape, the shape's text up to a second header, and no other
+    monkeypatch.setattr(ingest, "_SLICE", 1)
+    loop, looped = ingest._log_lines, []
+    monkeypatch.setattr(ingest, "_log_lines", lambda *a: looped.append(a) or loop(*a))
+    log = _GOOD_ENTRY + text + _GOOD_ENTRY.replace("|g|", "|h|")
+    expected, got = (_outcome(p, log, False) for p in (loop_parse_commit_log, parse_commit_log))
+    refused = text[:text.index("\nC|") + 1] if "\nC|" in text else text
+    assert looped == [(refused, _GOOD_ENTRY.count("\n"))]
     if isinstance(expected, ParseError):
         assert (str(got), got.line) == (str(expected), expected.line)
     else:
         assert got.commits == expected.commits
+
+
+@pytest.mark.parametrize("text", [
+    "C|a|a@x|A|1|1\r\n1\t2\tf\r\n",  # CR line ends
+    "C|a|a@x|A|1|1\n1\t2\tf\nC|b|a@x|A|2|1\n",  # a header right after a row
+    "",  # no line
+])
+def test_valid_log_shapes_skip_the_line_loop(text, monkeypatch):
+    monkeypatch.setattr(ingest, "_log_lines", lambda *a: pytest.fail("line loop called"))
+    expected, got = (_outcome(p, text, False) for p in (loop_parse_commit_log, parse_commit_log))
+    assert got.commits == expected.commits
+
+
+# `git log --no-merges --reverse --numstat` of one history with the README's
+# --pretty=format:'C|%H|%ae|%an|%at|1' and with --format='C|%H|%ae|%an|%at|1',
+# git 2.39: an ordinary commit, an empty one, a chmod-only one and a last one
+_GIT_FORMAT = """\
+C|0d5c8345a55b8b1c4531a740b059b4c7829f8af7|ann@x|Ann|1400000000|1
+2\t0\ta.py
+
+C|a7726046f09430e9bc0bc5f9089ad051bf903e47|ann@x|Ann|1400000100|1
+C|98d96a03e3e8b4158577c0e911f2f84642dd38bc|ann@x|Ann|1400000200|1
+0\t0\ta.py
+
+C|3d7b2533a29a11d9518f2fd23e4965e21ecc32b6|bob@x|Bob|1400000300|1
+1\t0\ta.py
+1\t0\tb.py
+"""
+_GIT_TFORMAT = """\
+C|0d5c8345a55b8b1c4531a740b059b4c7829f8af7|ann@x|Ann|1400000000|1
+
+2\t0\ta.py
+C|a7726046f09430e9bc0bc5f9089ad051bf903e47|ann@x|Ann|1400000100|1
+C|98d96a03e3e8b4158577c0e911f2f84642dd38bc|ann@x|Ann|1400000200|1
+
+0\t0\ta.py
+C|3d7b2533a29a11d9518f2fd23e4965e21ecc32b6|bob@x|Bob|1400000300|1
+
+1\t0\ta.py
+1\t0\tb.py
+"""
+
+
+def test_both_git_log_layouts_ingest_alike(tmp_path, monkeypatch):
+    monkeypatch.setattr(ingest, "_log_lines", lambda *a: pytest.fail("line loop called"))
+    written = []
+    for text in (_GIT_FORMAT, _GIT_TFORMAT):
+        h = parse_commit_log(text)
+        assert [(c.commit_id[:7], c.author.canonical_key, c.timestamp, c.lines_added,
+                 c.lines_deleted) for c in h.commits] == [
+            ("0d5c834", "ann@x", 1400000000, 2, 0), ("a772604", "ann@x", 1400000100, 0, 0),
+            ("98d96a0", "ann@x", 1400000200, 0, 0), ("3d7b253", "bob@x", 1400000300, 2, 0)]
+        src, out = tmp_path / "history.log", tmp_path / "ingested.jsonl"
+        src.write_text(text)
+        assert main(["ingest", str(src), "-o", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1] == write_jsonl(h).encode()
 
 
 def _canon(cid="e", email="a@x", name="A", ts="1.5", added="1", end=""):
